@@ -12,6 +12,7 @@ under the reserved "__opt__/" name prefix next to the parameters.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -41,31 +42,54 @@ def save_checkpoint(path, entries: list[tuple[str, np.ndarray]]) -> None:
             fh.write(arr.astype("<f8").tobytes())
 
 
+class _Reader:
+    """Bounds-checked cursor over a checkpoint's bytes; `what` names the part
+    being read, so a short file reports where it ends."""
+
+    def __init__(self, path, data: bytes):
+        self.path, self.view, self.pos, self.what = path, memoryview(data), 0, "header"
+
+    def take(self, size: int) -> memoryview:
+        left = len(self.view) - self.pos
+        if size > left:
+            raise CheckpointFormatError(
+                f"{self.path}: truncated in {self.what} at byte offset {self.pos}: "
+                f"need {size} bytes, {left} left"
+            )
+        self.pos += size
+        return self.view[self.pos - size : self.pos]
+
+    def u32s(self, count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.take(4 * count))
+
+
 def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise CheckpointFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, count = struct.unpack_from("<II", data, 4)
+        reader = _Reader(path, fh.read())
+    magic = bytes(reader.take(4))
+    if magic != MAGIC:
+        raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
+    version, count = reader.u32s(2)
     if version != VERSION:
         raise CheckpointFormatError(f"{path}: unsupported version {version}")
-    pos = 12
     entries = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=pos).reshape(dims).copy()
-        pos += 8 * n
+    for index in range(count):
+        reader.what = f"the name of tensor {index}"
+        (name_len,) = reader.u32s(1)
+        try:
+            name = str(reader.take(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(
+                f"{path}: tensor {index} name is not UTF-8 at byte offset {reader.pos - name_len}"
+            ) from exc
+        reader.what = f"the dims of tensor {index} {name!r}"
+        (rank,) = reader.u32s(1)
+        dims = reader.u32s(rank)
+        reader.what = f"the data of tensor {index} {name!r}"
+        arr = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
         entries.append((name, arr))
-    if pos != len(data):
-        raise CheckpointFormatError(f"{path}: {len(data) - pos} trailing bytes")
+    if reader.pos != len(reader.view):
+        raise CheckpointFormatError(f"{path}: {len(reader.view) - reader.pos} trailing bytes")
     return entries
 
 

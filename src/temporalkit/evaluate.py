@@ -8,24 +8,64 @@ plain text, one line per video: id,p_0,...,p_{C-1} with 9 significant digits.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
+from . import videofile
 from .metrics import LabelMatrix, PredictionMatrix
 from .model import backbone_forward, predict_clip
 from .sampling import dense_test_plan
 from .videofile import materialize_view
 
-_FORWARD_CHUNK = 16
+# Clips per backbone_forward call. At 16 a chunk's im2col columns reach
+# 19 MB, past the TLB's reach with 4 KiB pages, and the forward ran 25-30%
+# faster or slower with whether transparent huge pages happened to back
+# them, which differs from run to run. At 8 they stay under 10 MB, and the
+# forward is faster and moves little either way. The chunk does not change
+# the bits of any clip's probabilities.
+_FORWARD_CHUNK = 8
+
+
+def _cut_clips(frames, views) -> np.ndarray:
+    """Stacked clips of `views`, resizing the frames they use once per scale.
+
+    Each view's crop and flip are cut from its scale's resized frames, whose
+    second resize inside materialize_view is then a no-op. resize_frames
+    treats every frame on its own, so the clips carry the same bits as
+    resizing view by view.
+    """
+    used = sorted({i for v in views for i in v.frame_indices})
+    at = {frame: k for k, frame in enumerate(used)}
+    picked = frames[used]
+    clips = [None] * len(views)
+    for scale in dict.fromkeys(v.scale for v in views):
+        scaled = videofile.resize_frames(picked, scale)
+        for k, v in enumerate(views):
+            if v.scale == scale:
+                local = dataclasses.replace(v, frame_indices=tuple(at[i] for i in v.frame_indices))
+                clips[k] = materialize_view(scaled, local)
+        del scaled  # one scale's frames at a time
+    return np.stack(clips)
 
 
 def _view_probs(frames, views, params, mcfg) -> np.ndarray:
-    """[num_views, C] probabilities for one video's views."""
-    clips = np.stack([materialize_view(frames, v) for v in views])
+    """[num_views, C] probabilities for one video's views.
+
+    A plan repeats views (clips that all start at frame 0, crops that all sit
+    at the same spot on the smallest scale), so each distinct view is
+    forwarded once and its row copied to every place it holds in the plan.
+    The caller's mean then sees the same rows in the same order as if every
+    view had been forwarded.
+    """
+    distinct = list(dict.fromkeys(views))
+    clips = _cut_clips(frames, distinct)
     probs = []
     for lo in range(0, len(clips), _FORWARD_CHUNK):
         logits = backbone_forward(clips[lo : lo + _FORWARD_CHUNK], params, mcfg, training=False)
         probs.append(predict_clip(logits))
-    return np.concatenate(probs, axis=0)
+    row = {v: k for k, v in enumerate(distinct)}
+    return np.concatenate(probs, axis=0)[[row[v] for v in views]]
 
 
 def evaluate_predictions(cfg, params, mcfg, data, mode: str = "clip") -> PredictionMatrix:
@@ -65,8 +105,20 @@ def read_predictions(path) -> PredictionMatrix:
             parts = line.split(",")
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected id,p_0,...")
+            if rows and len(parts) - 1 != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: {len(parts) - 1} probabilities, expected {len(rows[0])}"
+                )
+            try:
+                row = [float(tok) for tok in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{path}:{lineno}: probabilities must be finite")
             ids.append(parts[0])
-            rows.append([float(tok) for tok in parts[1:]])
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no prediction rows")
     return PredictionMatrix(tuple(ids), np.array(rows))
 
 

@@ -30,6 +30,8 @@ class PredictionMatrix:
             )
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("sample ids must be unique")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(self.probs < 0) or np.any(self.probs > 1):
             raise ValueError("probabilities must lie in [0, 1]")
 

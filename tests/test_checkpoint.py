@@ -86,3 +86,38 @@ def test_forward_identical_after_round_trip(tmp_path):
         fresh.values[name][...] = values[name]
     after = backbone_forward(clip, fresh, cfg)
     assert np.max(np.abs(after - before)) <= 1e-15
+
+
+def _cut_points(path):
+    """Byte counts that end a one-tensor file inside each of its parts."""
+    # "XTCK" | version | count | name length | "alpha" | rank | dims 2, 3 | 6 doubles
+    save_checkpoint(path, [("alpha", np.arange(6.0).reshape(2, 3))])
+    return path.read_bytes(), {
+        "header": (7, "header at byte offset 4"),
+        "name": (18, "the name of tensor 0 at byte offset 16"),
+        "dims": (27, "the dims of tensor 0 'alpha' at byte offset 25"),
+        "data": (60, "the data of tensor 0 'alpha' at byte offset 33"),
+    }
+
+
+@pytest.mark.parametrize("part", ["header", "name", "dims", "data"])
+def test_truncated_file_names_tensor_and_offset(tmp_path, part):
+    path = tmp_path / "cut.xtck"
+    data, cuts = _cut_points(path)
+    size, where = cuts[part]
+    path.write_bytes(data[:size])
+    with pytest.raises(CheckpointFormatError, match=f"truncated in {where}"):
+        load_checkpoint(path)
+
+
+def test_truncated_checkpoint_is_cli_validation_error(tmp_path, capsys):
+    from temporalkit.cli import main
+    from temporalkit.synth import generate_dataset
+
+    manifest = generate_dataset(tmp_path / "val", 2, seed=1, rel_prefix="val/")
+    path = tmp_path / "cut.xtck"
+    data, cuts = _cut_points(path)
+    path.write_bytes(data[: cuts["data"][0]])
+    assert main(["eval", "--checkpoint", str(path), "--val-manifest", str(manifest),
+                 "--data-root", str(tmp_path)]) == 1
+    assert "truncated in the data of tensor 0 'alpha'" in capsys.readouterr().err

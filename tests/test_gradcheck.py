@@ -49,3 +49,9 @@ def test_model_directional_probes_pass():
     for mode in ("none", "tsm", "tin"):
         worst = max(gc.check_model_directional(seed, mode) for seed in range(5))
         assert worst < gc.RTOL, mode
+
+
+def test_offset_net_cases_stay_off_the_relu_kink():
+    # these base seeds once drew a trunk pre-activation within H of zero
+    for seed in (1855, 2174, 2756):
+        assert gc.check_offset_net(seed) < gc.RTOL, seed

@@ -213,6 +213,11 @@ class TestMatrixTypes:
         with pytest.raises(ValueError, match="0, 1"):
             PredictionMatrix(("a",), np.array([[1.5]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PredictionMatrix(("x",), np.array([[value, 0.5]]))
+
     def test_labels_must_be_binary(self):
         with pytest.raises(ValueError, match="binary"):
             LabelMatrix(("a",), np.array([[0.5]]))
