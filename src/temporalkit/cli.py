@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import SCHEMA, ConfigError, build_config, parse_value
+from .config import SCHEMA, ConfigError, build_config, model_config_from_run, parse_value
 from .evaluate import (
     evaluate_predictions,
     labels_for_ids,
@@ -23,7 +23,7 @@ from .evaluate import (
 from .gradcheck import run_model_suite, run_op_suite
 from .metrics import LabelMatrix, ensemble_average, map_eval
 from .synth import NUM_CLASSES, generate_dataset, labels_to_matrix, read_manifest
-from .train import Dataset, load_params_for_eval, model_config_from_run, run_training
+from .train import Dataset, load_params_for_eval, run_training
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

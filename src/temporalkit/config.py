@@ -11,7 +11,9 @@ import os
 from dataclasses import dataclass, fields
 
 from .losses import LOSS_KINDS, WEIGHT_RULES
-from .model import HEAD_MODES, TEMPORAL_MODES
+from .model import HEAD_MODES, TEMPORAL_MODES, ModelConfig
+from .optim import SCHEDULE_KINDS
+from .sampling import SAMPLER_KINDS, ClipSamplerSpec
 
 DATA_ROOT_ENV = "X_TEMPORAL_DATA_ROOT"
 
@@ -76,16 +78,16 @@ class RunConfig:
     def __post_init__(self):
         if self.temporal_mode not in TEMPORAL_MODES:
             raise ConfigError(f"temporal_mode must be one of {TEMPORAL_MODES}")
-        if self.sampler not in ("strided", "segments"):
-            raise ConfigError("sampler must be 'strided' or 'segments'")
+        if self.sampler not in SAMPLER_KINDS:
+            raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
         if self.head not in HEAD_MODES:
             raise ConfigError(f"head must be one of {HEAD_MODES}")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}")
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"weight_rule must be one of {WEIGHT_RULES}")
-        if self.schedule not in ("cosine", "step", "constant"):
-            raise ConfigError("schedule must be cosine, step or constant")
+        if self.schedule not in SCHEDULE_KINDS:
+            raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}")
         for key in ("frames", "segments", "stride", "crop", "classes", "max_iters", "batch"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -107,6 +109,30 @@ class RunConfig:
         if env:
             return env
         raise ConfigError(f"data_root not set (flag, config file, or ${DATA_ROOT_ENV})")
+
+
+def clip_spec_from_config(cfg: RunConfig) -> ClipSamplerSpec:
+    if cfg.sampler == "strided":
+        return ClipSamplerSpec.strided(cfg.frames, cfg.stride)
+    return ClipSamplerSpec.segments(cfg.segments)
+
+
+def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
+    spec = clip_spec_from_config(cfg)
+    return ModelConfig(
+        frames=spec.frames,
+        in_channels=in_channels,
+        height=cfg.crop,
+        width=cfg.crop,
+        num_classes=cfg.classes,
+        temporal_mode=cfg.temporal_mode,
+        num_groups=cfg.groups,
+        delta_max=cfg.resolved_delta_max,
+        fold=cfg.fold,
+        channels=cfg.channels,
+        dropout=cfg.dropout,
+        head=cfg.head,
+    )
 
 
 # field annotations are strings under `from __future__ import annotations`

@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import videofile
+from .config import clip_spec_from_config
 from .metrics import LabelMatrix, PredictionMatrix
 from .model import backbone_forward, predict_clip
 from .sampling import dense_test_plan
@@ -70,8 +71,6 @@ def _view_probs(frames, views, params, mcfg) -> np.ndarray:
 
 def evaluate_predictions(cfg, params, mcfg, data, mode: str = "clip") -> PredictionMatrix:
     """Score every video in `data` with the configured test plan."""
-    from .train import clip_spec_from_config  # local import to avoid a cycle
-
     if mode not in ("clip", "dense"):
         raise ValueError(f"unknown eval mode {mode!r}")
     spec = clip_spec_from_config(cfg)
@@ -96,7 +95,7 @@ def write_predictions(path, preds: PredictionMatrix) -> None:
 
 
 def read_predictions(path) -> PredictionMatrix:
-    ids, rows = [], []
+    first_line, rows = {}, []  # id -> the line it was read on, in file order
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -115,11 +114,15 @@ def read_predictions(path) -> PredictionMatrix:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{path}:{lineno}: probabilities must be finite")
-            ids.append(parts[0])
+            sample_id = parts[0]
+            if sample_id in first_line:
+                raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}, "
+                                 f"first on line {first_line[sample_id]}")
+            first_line[sample_id] = lineno
             rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no prediction rows")
-    return PredictionMatrix(tuple(ids), np.array(rows))
+    return PredictionMatrix(tuple(first_line), np.array(rows))
 
 
 def labels_for_ids(label_matrix: LabelMatrix, ids) -> LabelMatrix:

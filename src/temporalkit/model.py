@@ -12,9 +12,11 @@ weights.
 Heads are zero-initialized, which makes a freshly built interlacing model an
 exact no-op: its logits match the temporal-mode-free model bit for bit.
 
-Forward/backward are hand-chained. `backbone_forward(..., return_cache=True)`
-hands back everything `backbone_backward` needs; parameter gradients
-accumulate into the ParamStore.
+Forward/backward are hand-chained. Every conv and linear layer runs through
+`_conv`/`_linear`, whose backward adds the layer's own `.weight`/`.bias`
+gradients to the ParamStore, and every relu/tanh/sigmoid through the
+gradchecked `ops.activation`/`ops.activation_backward`.
+`backbone_forward(..., return_cache=True)` hands back what backward needs.
 """
 
 from __future__ import annotations
@@ -169,56 +171,82 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
 
 
 # ---------------------------------------------------------------------------
+# conv and linear layers that own their parameter gradients
+# ---------------------------------------------------------------------------
+
+def _conv(x5, params: ParamStore, name: str, stride: int, pad: int):
+    """Per-frame conv2d of [N,T,C,H,W] with `name`.weight/.bias; returns (y5, ctx)."""
+    y4, cols = ops.conv2d_with_cols(x5.reshape((-1,) + x5.shape[2:]),
+                                    params[name + ".weight"], params[name + ".bias"], stride, pad)
+    return y4.reshape(x5.shape[:2] + y4.shape[1:]), (name, x5, cols, stride, pad)
+
+
+def _conv_backward(gy5, ctx, params: ParamStore) -> np.ndarray:
+    """Input gradient of `_conv`; its weight and bias gradients accumulate."""
+    name, x5, cols, stride, pad = ctx
+    gx4, gw, gb = ops.conv2d_backward(gy5.reshape((-1,) + gy5.shape[2:]),
+                                      x5.reshape((-1,) + x5.shape[2:]),
+                                      params[name + ".weight"], stride, pad, cols=cols)
+    params.add_grad(name + ".weight", gw)
+    params.add_grad(name + ".bias", gb)
+    return gx4.reshape(x5.shape)
+
+
+def _linear(x, params: ParamStore, name: str) -> np.ndarray:
+    return ops.linear(x, params[name + ".weight"], params[name + ".bias"])
+
+
+def _linear_backward(gy, x, params: ParamStore, name: str) -> np.ndarray:
+    """Input gradient of `_linear`; its weight and bias gradients accumulate."""
+    gx, gw, gb = ops.linear_backward(gy, x, params[name + ".weight"])
+    params.add_grad(name + ".weight", gw)
+    params.add_grad(name + ".bias", gb)
+    return gx
+
+
+# ---------------------------------------------------------------------------
 # offset/weight generator
 # ---------------------------------------------------------------------------
 
-def offset_weight_net_forward(feat, params: ParamStore, cfg: ModelConfig, prefix: str = "tin."):
+def offset_weight_net_forward(feat, params: ParamStore, cfg: ModelConfig, prefix: str):
     """Map block-input features [N,T,C,H,W] to interlace offsets and weights.
 
     Pipeline: spatial mean -> channel mean -> [N,T] -> hidden relu layer ->
     offsets = delta_max * tanh(head), weights = 2 * sigmoid(head) as [N,G,T].
+    `prefix` names the block's generator, e.g. "block0.tin.".
     Returns (InterlaceParams, cache).
     """
     feat = as_f64(feat)
     if feat.ndim != 5:
         raise ShapeError(f"offset net input must be [N,T,C,H,W], got rank {feat.ndim}")
-    n, t, c = feat.shape[:3]
+    n, t = feat.shape[:2]
     if t != cfg.frames:
         raise ShapeError(f"feature frame axis {t} does not match config frames {cfg.frames}")
-    pooled = ops.global_avg_pool_spatial(feat)  # [N,T,C]
-    m = pooled.mean(axis=2)  # [N,T]
-    t1 = ops.linear(m, params[prefix + "trunk.weight"], params[prefix + "trunk.bias"])
-    h = np.maximum(t1, 0.0)
-    zo = ops.linear(h, params[prefix + "offs.weight"], params[prefix + "offs.bias"])
-    th = np.tanh(zo)
-    offsets = cfg.delta_max * th
-    zw = ops.linear(h, params[prefix + "wts.weight"], params[prefix + "wts.bias"])
-    sg = ops.sigmoid(zw)
-    weights = (2.0 * sg).reshape(n, cfg.num_groups, t)
-    iparams = InterlaceParams(offsets, weights, delta_max=cfg.delta_max)
-    cache = {"m": m, "t1": t1, "h": h, "th": th, "sg": sg, "feat_shape": feat.shape}
-    return iparams, cache
+    m = ops.global_avg_pool_spatial(feat).mean(axis=2)  # [N,T]
+    t1 = _linear(m, params, prefix + "trunk")
+    h = ops.activation(t1, "relu")
+    zo = _linear(h, params, prefix + "offs")
+    th = ops.activation(zo, "tanh")
+    zw = _linear(h, params, prefix + "wts")
+    sg = ops.activation(zw, "sigmoid")
+    iparams = InterlaceParams(cfg.delta_max * th, (2.0 * sg).reshape(n, cfg.num_groups, t),
+                              delta_max=cfg.delta_max)
+    return iparams, {"m": m, "t1": t1, "h": h, "zo": zo, "th": th, "zw": zw, "sg": sg,
+                     "feat_shape": feat.shape}
 
 
 def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
-                               cfg: ModelConfig, prefix: str = "tin."):
+                               cfg: ModelConfig, prefix: str):
     """Chain gradients back to the feature map; parameter grads accumulate."""
     n, t, c, hh, ww = cache["feat_shape"]
-    g_zo = as_f64(g_offsets) * cfg.delta_max * (1.0 - cache["th"] ** 2)
-    g_zw = as_f64(g_weights).reshape(n, -1) * 2.0 * cache["sg"] * (1.0 - cache["sg"])
-
-    g_h = np.zeros_like(cache["h"])
-    for gz, head in ((g_zo, "offs"), (g_zw, "wts")):
-        gi, gw, gb = ops.linear_backward(gz, cache["h"], params[prefix + head + ".weight"])
-        g_h += gi
-        params.add_grad(prefix + head + ".weight", gw)
-        params.add_grad(prefix + head + ".bias", gb)
-
-    g_t1 = g_h * (cache["t1"] > 0)
-    g_m, gw, gb = ops.linear_backward(g_t1, cache["m"], params[prefix + "trunk.weight"])
-    params.add_grad(prefix + "trunk.weight", gw)
-    params.add_grad(prefix + "trunk.bias", gb)
-
+    g_zo = ops.activation_backward(as_f64(g_offsets) * cfg.delta_max,
+                                   cache["zo"], cache["th"], "tanh")
+    g_zw = ops.activation_backward(as_f64(g_weights).reshape(n, -1) * 2.0,
+                                   cache["zw"], cache["sg"], "sigmoid")
+    g_h = (_linear_backward(g_zo, cache["h"], params, prefix + "offs")
+           + _linear_backward(g_zw, cache["h"], params, prefix + "wts"))
+    g_t1 = ops.activation_backward(g_h, cache["t1"], cache["h"], "relu")
+    g_m = _linear_backward(g_t1, cache["m"], params, prefix + "trunk")
     g_pooled = np.broadcast_to(g_m[:, :, None] / c, (n, t, c))
     return ops.global_avg_pool_spatial_backward(g_pooled, (hh, ww))
 
@@ -227,67 +255,44 @@ def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
 # backbone
 # ---------------------------------------------------------------------------
 
-def _conv5(x5, w, b, stride, pad):
-    """Per-frame conv2d on [N,T,C,H,W]; returns (y5, column cache)."""
-    n, t = x5.shape[:2]
-    y4, cols = ops.conv2d_with_cols(x5.reshape((n * t,) + x5.shape[2:]), w, b, stride, pad)
-    return y4.reshape((n, t) + y4.shape[1:]), cols
-
-
-def _conv5_backward(gy5, x5, w, stride, pad, cols=None):
-    n, t = x5.shape[:2]
-    gx4, gw, gb = ops.conv2d_backward(
-        gy5.reshape((n * t,) + gy5.shape[2:]),
-        x5.reshape((n * t,) + x5.shape[2:]),
-        w, stride, pad, cols=cols,
-    )
-    return gx4.reshape(x5.shape), gw, gb
-
-
 def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
                      training: bool = False, seed: int = 0, return_cache: bool = False):
     """Run the full model on [N,T,C,H,W]; returns per-class logits [N,classes]."""
     x = as_f64(clip)
     if x.ndim != 5 or x.shape[1:] != (cfg.frames, cfg.in_channels, cfg.height, cfg.width):
-        raise ShapeError(
-            f"clip shape {x.shape} does not match config "
-            f"[N,{cfg.frames},{cfg.in_channels},{cfg.height},{cfg.width}]"
-        )
-    cache = {"clip": x, "blocks": []}
-
-    x, stem_cols = _conv5(x, params["stem.weight"], params["stem.bias"], 2, 1)
-    cache["stem_cols"] = stem_cols
+        raise ShapeError(f"clip shape {x.shape} does not match config "
+                         f"[N,{cfg.frames},{cfg.in_channels},{cfg.height},{cfg.width}]")
+    x, stem = _conv(x, params, "stem", 2, 1)
+    cache = {"stem": stem, "blocks": []}
 
     for i in range(cfg.num_blocks):
-        bc = {"x_in": x}
+        name, bc = f"block{i}.", {}
         if cfg.temporal_mode == "tin":
-            iparams, ocache = offset_weight_net_forward(x, params, cfg, f"block{i}.tin.")
-            bc["groups"] = GroupSpec.even(x.shape[2], cfg.num_groups)
-            bc["iparams"], bc["ocache"] = iparams, ocache
-            xt = interlace_forward(x, bc["groups"], iparams)
+            iparams, ocache = offset_weight_net_forward(x, params, cfg, name + "tin.")
+            groups = GroupSpec.even(x.shape[2], cfg.num_groups)
+            bc["tin"] = (name + "tin.", x, groups, iparams, ocache)
+            xt = interlace_forward(x, groups, iparams)
         elif cfg.temporal_mode == "tsm":
             xt = tsm_shift(x, ShiftSpec(cfg.fold))
         else:
             xt = x
-        bc["xt"] = xt
-        a1, bc["cols1"] = _conv5(xt, params[f"block{i}.conv1.weight"], params[f"block{i}.conv1.bias"], 2, 1)
-        r1 = np.maximum(a1, 0.0)
-        a2, bc["cols2"] = _conv5(r1, params[f"block{i}.conv2.weight"], params[f"block{i}.conv2.bias"], 1, 1)
-        skip, bc["cols_skip"] = _conv5(x, params[f"block{i}.skip.weight"], params[f"block{i}.skip.bias"], 2, 0)
-        bc["a1"], bc["r1"] = a1, r1
+        a1, bc["conv1"] = _conv(xt, params, name + "conv1", 2, 1)
+        r1 = ops.activation(a1, "relu")
+        bc["relu1"] = (a1, r1)
+        a2, bc["conv2"] = _conv(r1, params, name + "conv2", 1, 1)
+        skip, bc["skip"] = _conv(x, params, name + "skip", 2, 0)
         x = a2 + skip
         cache["blocks"].append(bc)
 
-    cache["body_out"] = x
     if cfg.head == "pool":
         feat = x.mean(axis=(1, 3, 4))  # [N, C_last]
     else:
         feat = x.mean(axis=(3, 4)).reshape(x.shape[0] * cfg.frames, -1)  # [N*T, C_last]
     mask = ops.dropout_mask(feat.shape, cfg.dropout, seed) if training else None
     fd = feat * mask if mask is not None else feat
-    cache["feat"], cache["mask"], cache["fd"] = feat, mask, fd
+    cache.update(body_shape=x.shape, mask=mask, fd=fd)
 
-    logits = ops.linear(fd, params["head.weight"], params["head.bias"])
+    logits = _linear(fd, params, "head")
     if cfg.head == "consensus":
         logits = segment_consensus(logits.reshape(x.shape[0], cfg.frames, -1))
     return (logits, cache) if return_cache else logits
@@ -295,65 +300,34 @@ def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
 
 def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig):
     """Accumulate parameter gradients; returns the gradient w.r.t. the clip."""
-    x = cache["body_out"]
-    n, t = x.shape[:2]
-    g_logits = as_f64(g_logits)
-
+    n, t, c_last, hh, ww = shape = cache["body_shape"]
+    g_head_out = as_f64(g_logits)
     if cfg.head == "consensus":
-        g_head_in = segment_consensus_backward(g_logits, t).reshape(n * t, -1)
-    else:
-        g_head_in = g_logits
-    g_fd, gw, gb = ops.linear_backward(g_head_in, cache["fd"], params["head.weight"])
-    params.add_grad("head.weight", gw)
-    params.add_grad("head.bias", gb)
+        g_head_out = segment_consensus_backward(g_head_out, t).reshape(n * t, -1)
+    g_fd = _linear_backward(g_head_out, cache["fd"], params, "head")
     g_feat = g_fd * cache["mask"] if cache["mask"] is not None else g_fd
-
-    _, _, c_last, hh, ww = x.shape
     if cfg.head == "pool":
-        g_x = np.broadcast_to(
-            g_feat[:, None, :, None, None] / (t * hh * ww), x.shape
-        ).copy()
+        g_x = np.broadcast_to(g_feat[:, None, :, None, None] / (t * hh * ww), shape).copy()
     else:
-        g_x = np.broadcast_to(
-            g_feat.reshape(n, t, c_last)[:, :, :, None, None] / (hh * ww), x.shape
-        ).copy()
+        g_x = np.broadcast_to(g_feat.reshape(n, t, c_last)[:, :, :, None, None] / (hh * ww),
+                              shape).copy()
 
-    for i in reversed(range(cfg.num_blocks)):
-        bc = cache["blocks"][i]
-        g_skip_in, gw, gb = _conv5_backward(
-            g_x, bc["x_in"], params[f"block{i}.skip.weight"], 2, 0, bc["cols_skip"]
-        )
-        params.add_grad(f"block{i}.skip.weight", gw)
-        params.add_grad(f"block{i}.skip.bias", gb)
-
-        g_r1, gw, gb = _conv5_backward(
-            g_x, bc["r1"], params[f"block{i}.conv2.weight"], 1, 1, bc["cols2"]
-        )
-        params.add_grad(f"block{i}.conv2.weight", gw)
-        params.add_grad(f"block{i}.conv2.bias", gb)
-        g_a1 = g_r1 * (bc["a1"] > 0)
-        g_xt, gw, gb = _conv5_backward(
-            g_a1, bc["xt"], params[f"block{i}.conv1.weight"], 2, 1, bc["cols1"]
-        )
-        params.add_grad(f"block{i}.conv1.weight", gw)
-        params.add_grad(f"block{i}.conv1.bias", gb)
-
+    for bc in reversed(cache["blocks"]):
+        g_skip_in = _conv_backward(g_x, bc["skip"], params)
+        g_r1 = _conv_backward(g_x, bc["conv2"], params)
+        g_a1 = ops.activation_backward(g_r1, *bc["relu1"], "relu")
+        g_xt = _conv_backward(g_a1, bc["conv1"], params)
         if cfg.temporal_mode == "tin":
-            g_main, g_off, g_wts = interlace_backward(g_xt, bc["x_in"], bc["groups"], bc["iparams"])
-            g_from_net = offset_weight_net_backward(
-                g_off, g_wts, bc["ocache"], params, cfg, f"block{i}.tin."
-            )
-            g_x = g_main + g_from_net + g_skip_in
+            prefix, x_in, groups, iparams, ocache = bc["tin"]
+            g_main, g_off, g_wts = interlace_backward(g_xt, x_in, groups, iparams)
+            g_net = offset_weight_net_backward(g_off, g_wts, ocache, params, cfg, prefix)
+            g_x = g_main + g_net + g_skip_in
         elif cfg.temporal_mode == "tsm":
             g_x = tsm_shift_backward(g_xt, ShiftSpec(cfg.fold)) + g_skip_in
         else:
             g_x = g_xt + g_skip_in
 
-    g_clip, gw, gb = _conv5_backward(g_x, cache["clip"], params["stem.weight"], 2, 1,
-                                     cache["stem_cols"])
-    params.add_grad("stem.weight", gw)
-    params.add_grad("stem.bias", gb)
-    return g_clip
+    return _conv_backward(g_x, cache["stem"], params)
 
 
 def predict_clip(logits) -> np.ndarray:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SCHEDULE_KINDS = ("cosine", "step", "constant")
+
 
 @dataclass(frozen=True)
 class SgdConfig:
@@ -33,7 +35,7 @@ class SgdConfig:
 
 @dataclass(frozen=True)
 class Schedule:
-    kind: str = "cosine"  # cosine | step | constant
+    kind: str = "cosine"  # one of SCHEDULE_KINDS
     max_iter: int = 1
     milestones: tuple[int, ...] = ()
     factor: float = 0.1
@@ -41,7 +43,7 @@ class Schedule:
     warmup_start_factor: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("cosine", "step", "constant"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "cosine" and self.max_iter < 1:
             raise ValueError(f"cosine schedule needs max_iter >= 1, got {self.max_iter}")

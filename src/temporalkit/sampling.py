@@ -26,6 +26,8 @@ CLIP_TEST_SCALES = (128, 144, 160)
 SEGMENT_TRAIN_SCALE_RANGE = (256, 256)
 SEGMENT_TRAIN_CROP = 224
 
+SAMPLER_KINDS = ("strided", "segments")
+
 
 @dataclass(frozen=True)
 class ClipSamplerSpec:
@@ -36,7 +38,7 @@ class ClipSamplerSpec:
     stride: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("segments", "strided"):
+        if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.frames < 1:
             raise ValueError(f"sampler frame count must be >= 1, got {self.frames}")

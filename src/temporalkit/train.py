@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, unpack_training_state
-from .config import RunConfig
+from .config import RunConfig, clip_spec_from_config, model_config_from_run
 from .evaluate import evaluate_predictions
 from .losses import ClassStats, LossConfig, bce_scaled, class_weights, lsep, warp
 from .metrics import LabelMatrix, map_eval
@@ -28,30 +28,6 @@ from .videofile import load_video, materialize_view
 
 def _iter_seed(seed: int, iteration: int, stream: int) -> list[int]:
     return [seed & 0x7FFFFFFF, iteration, stream]
-
-
-def clip_spec_from_config(cfg: RunConfig) -> ClipSamplerSpec:
-    if cfg.sampler == "strided":
-        return ClipSamplerSpec.strided(cfg.frames, cfg.stride)
-    return ClipSamplerSpec.segments(cfg.segments)
-
-
-def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
-    spec = clip_spec_from_config(cfg)
-    return ModelConfig(
-        frames=spec.frames,
-        in_channels=in_channels,
-        height=cfg.crop,
-        width=cfg.crop,
-        num_classes=cfg.classes,
-        temporal_mode=cfg.temporal_mode,
-        num_groups=cfg.groups,
-        delta_max=cfg.resolved_delta_max,
-        fold=cfg.fold,
-        channels=cfg.channels,
-        dropout=cfg.dropout,
-        head=cfg.head,
-    )
 
 
 class Dataset:
@@ -153,9 +129,12 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "metrics.log"
     ckpt_path = out_dir / "checkpoint.xtck"
-    log_mode = "a" if resume else "w"
+    if resume and log_path.exists():
+        # the resumed run writes every line from its checkpoint's iteration on again
+        lines = log_path.read_text().splitlines(keepends=True)
+        log_path.write_text("".join(ln for ln in lines if int(ln.split("\t")[0]) < start_iter))
 
-    with open(log_path, log_mode) as log:
+    with open(log_path, "a" if resume else "w") as log:
         for k in range(start_iter, cfg.max_iters):
             clips, targets = _build_batch(cfg, data, spec, k)
             logits, cache = backbone_forward(

@@ -94,6 +94,17 @@ class TestTrain:
             drift = np.max(np.abs(a_vals[name] - b_vals[name]))
             assert drift <= 1e-9, (name, drift)
 
+    def test_resume_into_same_dir_rewrites_log_from_checkpoint(self, dataset, tmp_path):
+        flags = dict(seed=5, max_iters=20, checkpoint_interval=10)
+        assert main(["train"] + train_flags(dataset, tmp_path / "full", **flags)) == 0
+        run = tmp_path / "run"
+        assert main(["train"] + train_flags(dataset, run, **flags)) == 0
+        assert main(["train"] + train_flags(dataset, run, **flags)
+                    + ["--resume", str(run / "checkpoint_000010.xtck")]) == 0
+        full_log = (tmp_path / "full" / "metrics.log").read_text()
+        assert len(full_log.splitlines()) == 20
+        assert (run / "metrics.log").read_text() == full_log
+
     def test_tin_at_init_matches_none_loss(self, dataset, tmp_path):
         losses = {}
         for mode in ("tin", "none"):

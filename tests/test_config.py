@@ -69,6 +69,8 @@ def test_validation_enum_fields():
         RunConfig(loss="focal")
     with pytest.raises(ConfigError):
         RunConfig(schedule="poly")
+    with pytest.raises(ConfigError):
+        RunConfig(sampler="dense")
 
 
 def test_data_root_env_fallback(monkeypatch):

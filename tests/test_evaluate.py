@@ -1,5 +1,11 @@
 """Dense evaluation against a one-view-at-a-time reference, the work it does
-per video, and the prediction-file reader's input checks."""
+per video, the prediction-file reader's input checks, and that evaluation
+imports without the training loop."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,3 +128,37 @@ class TestReadPredictions:
         path.write_text("\n")
         with pytest.raises(ValueError, match=r"empty\.csv: no prediction rows"):
             evaluate.read_predictions(path)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,0.1,0.2\nb,0.3,0.4\n\na,0.5,0.6\n")
+        with pytest.raises(ValueError, match=r"dup\.csv:4: duplicate id 'a', first on line 1"):
+            evaluate.read_predictions(path)
+
+
+# Scores one in-memory video; the training loop must stay unloaded throughout.
+_EVAL_WITHOUT_TRAIN = """
+import sys
+import numpy as np
+from temporalkit import evaluate
+from temporalkit.config import RunConfig
+from temporalkit.model import ModelConfig, init_params
+
+class Video:
+    ids = ("v0",)
+    def __len__(self): return 1
+    def num_frames(self, idx): return 16
+    def frames(self, idx): return np.zeros((16, 32, 32, 1))
+
+cfg = RunConfig()
+mcfg = ModelConfig(frames=16, in_channels=1, height=32, width=32, num_classes=cfg.classes)
+evaluate.evaluate_predictions(cfg, init_params(mcfg, 0), mcfg, Video())
+print("temporalkit.train" in sys.modules)
+"""
+
+
+def test_evaluation_runs_without_importing_train():
+    src = str(Path(evaluate.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _EVAL_WITHOUT_TRAIN], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from temporalkit import ops
 from temporalkit.gradcheck import RTOL, check_model_all_params, check_offset_net, scaled_error
 from temporalkit.losses import LossConfig, bce_scaled
 from temporalkit.model import (
@@ -245,6 +248,31 @@ class TestBackboneBackward:
                 num = (fp - fm) / (2 * h)
                 analytic = params.grads[name][idx]
                 assert scaled_error(np.array([analytic]), np.array([num])) < RTOL
+
+
+def test_backbone_runs_the_gradchecked_activations(monkeypatch):
+    calls = {"forward": Counter(), "backward": Counter()}
+    activation, activation_backward = ops.activation, ops.activation_backward
+
+    def counted(x, kind):
+        calls["forward"][kind] += 1
+        return activation(x, kind)
+
+    def counted_backward(gy, x, y, kind):
+        calls["backward"][kind] += 1
+        return activation_backward(gy, x, y, kind)
+
+    monkeypatch.setattr(ops, "activation", counted)
+    monkeypatch.setattr(ops, "activation_backward", counted_backward)
+    cfg = micro_config("tin")
+    params = init_params(cfg, seed=21)
+    clip = np.random.default_rng(22).normal(size=(2, 4, 1, 8, 8))
+    logits, cache = backbone_forward(clip, params, cfg, return_cache=True)
+    backbone_backward(np.ones_like(logits), cache, params, cfg)
+    # per block: the relu after conv1, and the offset net's relu, tanh and sigmoid
+    per_block = {"relu": 2, "tanh": 1, "sigmoid": 1}
+    expected = {kind: n * cfg.num_blocks for kind, n in per_block.items()}
+    assert calls == {"forward": expected, "backward": expected}
 
 
 class TestPredictClip:
