@@ -12,7 +12,9 @@ under the reserved "__opt__/" name prefix next to the parameters.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,8 +30,26 @@ class CheckpointFormatError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def atomic_write(path, text: bool = False):
+    """Write `path` through a temp file in its directory, moved over it with
+    os.replace only once the block finishes; on any error the temp file is
+    removed and a previous `path` stays as it was."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x" if text else "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, entries: list[tuple[str, np.ndarray]]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(entries)))
         for name, arr in entries:

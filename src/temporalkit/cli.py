@@ -3,7 +3,8 @@
 Subcommands: gen-synth, train, eval, gradcheck, ensemble, map. Training and
 evaluation read a key=value config file; every config key is also exposed as
 a --kebab-case flag that overrides the file. Exit codes: 0 success,
-1 validation error, 2 I/O error, 3 gradient-check failure.
+1 validation error, 2 I/O error, 3 gradient-check failure, 4 non-finite
+training loss.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .evaluate import (
 from .gradcheck import run_model_suite, run_op_suite
 from .metrics import LabelMatrix, ensemble_average, map_eval
 from .synth import NUM_CLASSES, generate_dataset, labels_to_matrix, read_manifest
-from .train import Dataset, load_params_for_eval, run_training
+from .train import Dataset, NonFiniteLossError, load_params_for_eval, run_training
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_GRADCHECK = 3
+EXIT_NONFINITE = 4
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -173,6 +175,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteLossError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 if __name__ == "__main__":

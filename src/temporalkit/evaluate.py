@@ -13,6 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import videofile
+from .checkpoint import atomic_write
 from .config import clip_spec_from_config
 from .metrics import LabelMatrix, PredictionMatrix
 from .model import backbone_forward, predict_clip
@@ -89,7 +90,7 @@ def evaluate_predictions(cfg, params, mcfg, data, mode: str = "clip") -> Predict
 
 
 def write_predictions(path, preds: PredictionMatrix) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path, text=True) as fh:
         for sample_id, row in zip(preds.ids, preds.probs):
             fh.write(sample_id + "," + ",".join(f"{p:.9g}" for p in row) + "\n")
 

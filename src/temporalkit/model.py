@@ -174,16 +174,21 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
 # conv and linear layers that own their parameter gradients
 # ---------------------------------------------------------------------------
 
-def _conv(x5, params: ParamStore, name: str, stride: int, pad: int):
-    """Per-frame conv2d of [N,T,C,H,W] with `name`.weight/.bias; returns (y5, ctx)."""
+def _conv(x5, params: ParamStore, name: str, stride: int, pad: int, cache) -> np.ndarray:
+    """Per-frame conv2d of [N,T,C,H,W] with `name`.weight/.bias.
+
+    What backward needs goes into `cache[name]`, unless `cache` is None.
+    """
     y4, cols = ops.conv2d_with_cols(x5.reshape((-1,) + x5.shape[2:]),
                                     params[name + ".weight"], params[name + ".bias"], stride, pad)
-    return y4.reshape(x5.shape[:2] + y4.shape[1:]), (name, x5, cols, stride, pad)
+    if cache is not None:
+        cache[name] = (x5, cols, stride, pad)
+    return y4.reshape(x5.shape[:2] + y4.shape[1:])
 
 
-def _conv_backward(gy5, ctx, params: ParamStore) -> np.ndarray:
+def _conv_backward(gy5, cache, params: ParamStore, name: str) -> np.ndarray:
     """Input gradient of `_conv`; its weight and bias gradients accumulate."""
-    name, x5, cols, stride, pad = ctx
+    x5, cols, stride, pad = cache[name]
     gx4, gw, gb = ops.conv2d_backward(gy5.reshape((-1,) + gy5.shape[2:]),
                                       x5.reshape((-1,) + x5.shape[2:]),
                                       params[name + ".weight"], stride, pad, cols=cols)
@@ -257,77 +262,85 @@ def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
 
 def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
                      training: bool = False, seed: int = 0, return_cache: bool = False):
-    """Run the full model on [N,T,C,H,W]; returns per-class logits [N,classes]."""
+    """Run the full model on [N,T,C,H,W]; returns per-class logits [N,classes].
+
+    Activations stay batch-innermost (see `ops`). Without `return_cache` no
+    layer's context outlives the layer, so a conv's columns are freed as
+    soon as it has run.
+    """
     x = as_f64(clip)
     if x.ndim != 5 or x.shape[1:] != (cfg.frames, cfg.in_channels, cfg.height, cfg.width):
         raise ShapeError(f"clip shape {x.shape} does not match config "
                          f"[N,{cfg.frames},{cfg.in_channels},{cfg.height},{cfg.width}]")
-    x, stem = _conv(x, params, "stem", 2, 1)
-    cache = {"stem": stem, "blocks": []}
+    cache = {} if return_cache else None
+    x = _conv(x, params, "stem", 2, 1, cache)
 
     for i in range(cfg.num_blocks):
-        name, bc = f"block{i}.", {}
+        name = f"block{i}."
         if cfg.temporal_mode == "tin":
             iparams, ocache = offset_weight_net_forward(x, params, cfg, name + "tin.")
             groups = GroupSpec.even(x.shape[2], cfg.num_groups)
-            bc["tin"] = (name + "tin.", x, groups, iparams, ocache)
+            if cache is not None:
+                cache[name + "tin"] = (x, groups, iparams, ocache)
             xt = interlace_forward(x, groups, iparams)
         elif cfg.temporal_mode == "tsm":
             xt = tsm_shift(x, ShiftSpec(cfg.fold))
         else:
             xt = x
-        a1, bc["conv1"] = _conv(xt, params, name + "conv1", 2, 1)
+        a1 = _conv(xt, params, name + "conv1", 2, 1, cache)
         r1 = ops.activation(a1, "relu")
-        bc["relu1"] = (a1, r1)
-        a2, bc["conv2"] = _conv(r1, params, name + "conv2", 1, 1)
-        skip, bc["skip"] = _conv(x, params, name + "skip", 2, 0)
-        x = a2 + skip
-        cache["blocks"].append(bc)
+        if cache is not None:
+            cache[name + "relu1"] = (a1, r1)
+        a2 = _conv(r1, params, name + "conv2", 1, 1, cache)
+        x = a2 + _conv(x, params, name + "skip", 2, 0, cache)
 
-    if cfg.head == "pool":
-        feat = x.mean(axis=(1, 3, 4))  # [N, C_last]
-    else:
-        feat = x.mean(axis=(3, 4)).reshape(x.shape[0] * cfg.frames, -1)  # [N*T, C_last]
+    # each sample's pixels, then its frames, are summed in an order that
+    # does not depend on how many clips share the call
+    pooled = ops.global_avg_pool_spatial(x)  # [N, T, C_last]
+    feat = pooled.mean(axis=1) if cfg.head == "pool" else pooled.reshape(-1, pooled.shape[2])
     mask = ops.dropout_mask(feat.shape, cfg.dropout, seed) if training else None
     fd = feat * mask if mask is not None else feat
-    cache.update(body_shape=x.shape, mask=mask, fd=fd)
 
     logits = _linear(fd, params, "head")
     if cfg.head == "consensus":
         logits = segment_consensus(logits.reshape(x.shape[0], cfg.frames, -1))
-    return (logits, cache) if return_cache else logits
+    if cache is None:
+        return logits
+    cache.update(body_shape=x.shape, mask=mask, fd=fd)
+    return logits, cache
 
 
 def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig):
     """Accumulate parameter gradients; returns the gradient w.r.t. the clip."""
-    n, t, c_last, hh, ww = shape = cache["body_shape"]
+    n, t, c_last, hh, ww = cache["body_shape"]
     g_head_out = as_f64(g_logits)
     if cfg.head == "consensus":
         g_head_out = segment_consensus_backward(g_head_out, t).reshape(n * t, -1)
     g_fd = _linear_backward(g_head_out, cache["fd"], params, "head")
     g_feat = g_fd * cache["mask"] if cache["mask"] is not None else g_fd
     if cfg.head == "pool":
-        g_x = np.broadcast_to(g_feat[:, None, :, None, None] / (t * hh * ww), shape).copy()
+        g_pooled = np.broadcast_to(g_feat[:, None, :] / t, (n, t, c_last))
     else:
-        g_x = np.broadcast_to(g_feat.reshape(n, t, c_last)[:, :, :, None, None] / (hh * ww),
-                              shape).copy()
+        g_pooled = g_feat.reshape(n, t, c_last)
+    g_x = ops.global_avg_pool_spatial_backward(g_pooled, (hh, ww))
 
-    for bc in reversed(cache["blocks"]):
-        g_skip_in = _conv_backward(g_x, bc["skip"], params)
-        g_r1 = _conv_backward(g_x, bc["conv2"], params)
-        g_a1 = ops.activation_backward(g_r1, *bc["relu1"], "relu")
-        g_xt = _conv_backward(g_a1, bc["conv1"], params)
+    for i in reversed(range(cfg.num_blocks)):
+        name = f"block{i}."
+        g_skip_in = _conv_backward(g_x, cache, params, name + "skip")
+        g_r1 = _conv_backward(g_x, cache, params, name + "conv2")
+        g_a1 = ops.activation_backward(g_r1, *cache[name + "relu1"], "relu")
+        g_xt = _conv_backward(g_a1, cache, params, name + "conv1")
         if cfg.temporal_mode == "tin":
-            prefix, x_in, groups, iparams, ocache = bc["tin"]
+            x_in, groups, iparams, ocache = cache[name + "tin"]
             g_main, g_off, g_wts = interlace_backward(g_xt, x_in, groups, iparams)
-            g_net = offset_weight_net_backward(g_off, g_wts, ocache, params, cfg, prefix)
+            g_net = offset_weight_net_backward(g_off, g_wts, ocache, params, cfg, name + "tin.")
             g_x = g_main + g_net + g_skip_in
         elif cfg.temporal_mode == "tsm":
             g_x = tsm_shift_backward(g_xt, ShiftSpec(cfg.fold)) + g_skip_in
         else:
             g_x = g_xt + g_skip_in
 
-    return _conv_backward(g_x, cache["stem"], params)
+    return _conv_backward(g_x, cache, params, "stem")
 
 
 def predict_clip(logits) -> np.ndarray:

@@ -1,9 +1,18 @@
 """Dense tensor primitives with hand-derived backward passes.
 
-All arrays are float64, row-major numpy. Every op is a pure function; the
-backward companions take the upstream gradient plus whatever the forward
-saw, and return gradients for each differentiable input in argument order.
-No graph, no tape: callers chain backwards by hand.
+All arrays are float64. Every op is a pure function; the backward companions
+take the upstream gradient plus whatever the forward saw, and return
+gradients for each differentiable input in argument order. No graph, no
+tape: callers chain backwards by hand.
+
+Memory order: video activations are batch-innermost. A [N,T,C,H,W] clip
+tensor keeps that shape but is laid out in memory as (C,H,W,N,T), and the
+[N*T,C,H,W] stack a convolution sees as (C,H,W,N*T), so every column copy
+and tap scatter runs over N*T contiguous values. The ops accept any strides:
+an input in another order is transposed once on entry and gives the same
+values. conv2d and its backward, the spatial pool's backward and the
+temporal ops return batch-innermost arrays; elementwise ops keep the order
+they are given.
 """
 
 from __future__ import annotations
@@ -16,51 +25,86 @@ class ShapeError(ValueError):
 
 
 def as_f64(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=np.float64)
+    """x as float64, copied only when it has another dtype; any strides."""
+    return np.asarray(x, dtype=np.float64)
+
+
+def batch_last(x, lead: int = 1) -> np.ndarray:
+    """The memory of x as a C-contiguous array with its first `lead` axes moved
+    last: (C,H,W,B) for [B,C,H,W], (C,H,W,N,T) for [N,T,C,H,W].
+
+    A view when x is batch-innermost already, a copy otherwise.
+    """
+    x = as_f64(x)
+    return np.ascontiguousarray(x.transpose(tuple(range(lead, x.ndim)) + tuple(range(lead))))
+
+
+def batch_innermost(x, lead: int = 1) -> np.ndarray:
+    """x with its first `lead` axes innermost in memory and its shape unchanged."""
+    m = batch_last(x, lead)
+    rest = m.ndim - lead
+    return m.transpose(tuple(range(rest, m.ndim)) + tuple(range(rest)))
 
 
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
 
-def _pad_hw(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad == 0:
-        return x
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    return xp
+def _out_size(size: int, k: int, stride: int, pad: int) -> int:
+    return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Unfold padded input [N,C,Hp,Wp] into columns [C*kh*kw, N*L].
+def _im2col(xm: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Unfold (C,H,W,B) input into columns [C*kh*kw, Ho*Wo*B].
 
-    This layout feeds one large GEMM instead of N small ones.
+    Rows run over (channel, tap), columns over (output pixel, image) with the
+    images innermost, so on a batch-innermost input the copy moves runs of B
+    (Wo*B at stride 1) values. Any other strides are read as they are; the
+    padding or unfolding copy is then also the transposition.
     """
-    n, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    sn, sc, sh, sw = xp.strides
+    c, h, w, b = xm.shape
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, b))
+        xp[:, pad : pad + h, pad : pad + w] = xm
+    else:
+        xp = xm
+    ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    sc, sh, sw, sb = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(c, kh, kw, n, ho, wo),
-        strides=(sc, sh, sw, sn, sh * stride, sw * stride),
+        shape=(c, kh, kw, ho, wo, b),
+        strides=(sc, sh, sw, sh * stride, sw * stride, sb),
         writeable=False,
     )
-    return view.reshape(c * kh * kw, n * ho * wo)
+    return view.reshape(c * kh * kw, ho * wo * b)
 
 
-def _col2im(gcols: np.ndarray, padded_shape, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Fold column gradients [C*kh*kw, N*L] back onto the padded input."""
-    n, c, hp, wp = padded_shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    g6 = gcols.reshape(c, kh, kw, n, ho, wo)
-    gxp = np.zeros((c, n, hp, wp), dtype=np.float64)  # channel-major while scattering
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += g6[:, i, j]
-    return np.ascontiguousarray(gxp.swapaxes(0, 1))
+def _tap_span(tap: int, size: int, out: int, stride: int, pad: int):
+    """Output positions [lo, hi) whose input index o*stride + tap - pad lies in
+    [0, size), and the input index of the first of them."""
+    lo = max(0, -((tap - pad) // stride))
+    hi = min(out, (size - 1 + pad - tap) // stride + 1)
+    return lo, hi, lo * stride + tap - pad
+
+
+def _col2im(gcols: np.ndarray, shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Fold column gradients [C*kh*kw, Ho*Wo*B] onto the (C,H,W,B) input.
+
+    Taps accumulate in (i, j) order straight into the unpadded input; each
+    one adds only the output pixels whose source lies inside it.
+    """
+    c, h, w, b = shape
+    ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    g6 = gcols.reshape(c, kh, kw, ho, wo, b)
+    gx = np.zeros(shape)
+    rows = [_tap_span(i, h, ho, stride, pad) for i in range(kh)]
+    cols = [_tap_span(j, w, wo, stride, pad) for j in range(kw)]
+    for i, (r0, r1, hi0) in enumerate(rows):
+        for j, (c0, c1, wi0) in enumerate(cols):
+            if r1 > r0 and c1 > c0:
+                gx[:, hi0 : hi0 + (r1 - r0 - 1) * stride + 1 : stride,
+                   wi0 : wi0 + (c1 - c0 - 1) * stride + 1 : stride] += g6[:, i, j, r0:r1, c0:c1]
+    return gx
 
 
 def _check_conv_args(x, kernel, bias, stride, pad):
@@ -94,14 +138,13 @@ def conv2d_with_cols(x, kernel, bias, stride: int = 1, pad: int = 0):
     """conv2d that also returns the unfolded columns for reuse in backward."""
     x, kernel, bias = as_f64(x), as_f64(kernel), as_f64(bias)
     _check_conv_args(x, kernel, bias, stride, pad)
-    n = x.shape[0]
+    n, _, h, w = x.shape
     co, _, kh, kw = kernel.shape
-    xp = _pad_hw(x, pad)
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride)
-    y = kernel.reshape(co, -1) @ cols + bias[:, None]
-    return np.ascontiguousarray(y.reshape(co, n, ho, wo).swapaxes(0, 1)), cols
+    cols = _im2col(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
+    y = kernel.reshape(co, -1) @ cols
+    y += bias[:, None]
+    ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    return y.reshape(co, ho, wo, n).transpose(3, 0, 1, 2), cols
 
 
 def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -115,21 +158,19 @@ def conv2d_backward(gy, x, kernel, stride: int = 1, pad: int = 0, cols=None):
     `cols` accepts the column matrix from conv2d_with_cols to skip the
     second unfold; results are identical either way.
     """
-    gy, x, kernel = as_f64(gy), as_f64(x), as_f64(kernel)
-    n, _, h, w = x.shape
+    x, kernel = as_f64(x), as_f64(kernel)
+    n, c, h, w = x.shape
     co, _, kh, kw = kernel.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
     if cols is None:
-        cols = _im2col(_pad_hw(x, pad), kh, kw, stride)
-    gy_big = np.ascontiguousarray(gy.swapaxes(0, 1).reshape(co, -1))
+        cols = _im2col(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
+    gy_big = batch_last(gy).reshape(co, -1)
 
-    gw = (gy_big @ cols.T).reshape(kernel.shape)
-    gb = gy.sum(axis=(0, 2, 3))
+    gw = (cols @ gy_big.T).T.reshape(kernel.shape)
+    gb = gy_big.sum(axis=1)
 
     gcols = kernel.reshape(co, -1).T @ gy_big
-    gxp = _col2im(gcols, (n, kernel.shape[1], hp, wp), kh, kw, stride)
-    gx = gxp[:, :, pad : pad + h, pad : pad + w] if pad else gxp
-    return gx, gw, gb
+    gx = _col2im(gcols, (c, h, w, n), kh, kw, stride, pad)
+    return gx.transpose(3, 0, 1, 2), gw, gb
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +252,7 @@ def global_avg_pool_spatial(x) -> np.ndarray:
 def global_avg_pool_spatial_backward(gy, spatial_shape) -> np.ndarray:
     h, w = spatial_shape
     gy = as_f64(gy)
-    return np.broadcast_to(gy[:, :, :, None, None] / (h * w), gy.shape + (h, w)).copy()
+    return batch_innermost(np.broadcast_to(gy[:, :, :, None, None] / (h * w), gy.shape + (h, w)), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ group it shifts frames by a real-valued offset (two-tap linear interpolation,
 zero padding outside the clip) and rescales every temporal position by a
 learned weight. Sign convention, pinned here and by the tests: a positive
 offset samples from the future, y[t] draws on x[t + o].
+
+Both steps are linear in the frames, so per sample and group they form one
+T x T frame-mixing matrix M = diag(w) P, where row t of P holds the two
+interpolation taps. On the batch-innermost layout (see `ops`) each group's
+channels and pixels are N matrices [C'*H*W, T] with the frames contiguous,
+and interlacing is one batched GEMM per group: y = x M^T, gx = gy M. The
+weight and offset gradients come from the frame Gram matrix gy^T x.
+The shift operator moves each channel's contiguous run by one place.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeError, as_f64
+from .ops import ShapeError, as_f64, batch_last
 
 
 @dataclass(frozen=True)
@@ -104,19 +112,6 @@ class ShiftSpec:
         return fc
 
 
-def _shift_frames(x: np.ndarray, k: int) -> np.ndarray:
-    """out[t] = x[t+k] with zero padding outside [0, T-1]; x is [T, ...]."""
-    t = x.shape[0]
-    out = np.zeros_like(x)
-    if k >= t or k <= -t:
-        return out
-    if k >= 0:
-        out[: t - k] = x[k:]
-    else:
-        out[-k:] = x[: t + k]
-    return out
-
-
 def _check_interlace_shapes(x, groups: GroupSpec, params: InterlaceParams):
     if x.ndim != 5:
         raise ShapeError(f"interlace input must be [N,T,C,H,W], got rank {x.ndim}")
@@ -135,61 +130,73 @@ def _check_interlace_shapes(x, groups: GroupSpec, params: InterlaceParams):
         )
 
 
+def _per_sample(xm: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Channels [c0, c1) of (C,H,W,N,T) memory as N matrices [C'*H*W, T]."""
+    return xm[c0:c1].reshape(-1, *xm.shape[3:]).transpose(1, 0, 2)
+
+
+def _mixing(params: InterlaceParams, t: int):
+    """Unweighted interpolation matrices P and their offset derivative dP, [N,G,T,T].
+
+    With k = floor(o) and a = o - k, row t of P holds 1-a at column t+k and a
+    at column t+k+1 (columns outside [0, T) dropped: zero padding); row t of
+    dP holds -1 and +1 there. dP is the derivative of P on [k, k+1), so at an
+    integer offset it is the one-sided derivative from above.
+    """
+    k = np.floor(params.offsets)  # mathematical floor keeps a in [0,1) for o < 0
+    a = (params.offsets - k)[:, :, None, None]
+    src = np.arange(t)[:, None] + k[:, :, None, None]  # [N,G,T,1]: frame t+k
+    cols = np.arange(t)
+    near, far = cols == src, cols == src + 1
+    return (1.0 - a) * near + a * far, far.astype(np.float64) - near
+
+
 def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarray:
     """Shift each channel group by its fractional offset, then reweight frames.
 
     For offset o with k = floor(o), a = o - k:
         y[t] = w[t] * ((1-a) * x~[t+k] + a * x~[t+k+1])
-    where x~ is x zero-padded outside the clip. Output shape equals input.
+    where x~ is x zero-padded outside the clip. Per sample and group that is
+    one T x T frame-mixing matrix M = w * P (see `_mixing`) applied to every
+    channel and pixel: y = x @ M.T over the frame axis, one batched GEMM per
+    group on the batch-innermost layout. Output shape equals input.
     """
     x = as_f64(x)
     _check_interlace_shapes(x, groups, params)
-    n = x.shape[0]
-    y = np.empty_like(x)
-    for i in range(n):
-        for g, (c0, c1) in enumerate(groups.ranges):
-            o = params.offsets[i, g]
-            k = math.floor(o)  # mathematical floor keeps a in [0,1) for o < 0
-            a = o - k
-            xg = x[i, :, c0:c1]
-            if a == 0.0:
-                interp = _shift_frames(xg, k)
-            else:
-                interp = (1.0 - a) * _shift_frames(xg, k) + a * _shift_frames(xg, k + 1)
-            y[i, :, c0:c1] = params.weights[i, g][:, None, None, None] * interp
-    return y
+    t = x.shape[1]
+    mix = params.weights[:, :, :, None] * _mixing(params, t)[0]
+    xm = batch_last(x, 2)
+    ym = np.empty_like(xm)
+    for g, (c0, c1) in enumerate(groups.ranges):
+        np.matmul(_per_sample(xm, c0, c1), mix[:, g].transpose(0, 2, 1),
+                  out=_per_sample(ym, c0, c1))
+    return ym.transpose(3, 4, 0, 1, 2)
 
 
 def interlace_backward(gy, x, groups: GroupSpec, params: InterlaceParams):
     """Gradients (gx, goffsets, gweights) through interlace_forward.
 
-    The offset gradient follows the interpolation's piecewise-linear form;
-    at exact integer offsets the floor branch's one-sided derivative is used.
+    gx = gy @ M per sample and group. With the frame Gram matrix
+    G[t,s] = <gy[t], x[s]> summed over the group's channels and pixels,
+    gweights[t] = sum_s P[t,s] G[t,s] and goffsets = sum_{t,s} w[t] dP[t,s] G[t,s];
+    at exact integer offsets dP is the floor branch's one-sided derivative.
     """
-    gy, x = as_f64(gy), as_f64(x)
+    x = as_f64(x)
     _check_interlace_shapes(x, groups, params)
-    n = x.shape[0]
-    gx = np.zeros_like(x)
-    goff = np.zeros_like(params.offsets)
-    gw = np.zeros_like(params.weights)
-    for i in range(n):
-        for g, (c0, c1) in enumerate(groups.ranges):
-            o = params.offsets[i, g]
-            k = math.floor(o)
-            a = o - k
-            xg = x[i, :, c0:c1]
-            gyg = gy[i, :, c0:c1]
-            w = params.weights[i, g]
-
-            near = _shift_frames(xg, k)
-            far = _shift_frames(xg, k + 1)
-            interp = near if a == 0.0 else (1.0 - a) * near + a * far
-
-            gw[i, g] = (gyg * interp).sum(axis=(1, 2, 3))
-            wg = w[:, None, None, None] * gyg
-            goff[i, g] = (wg * (far - near)).sum()
-            gx[i, :, c0:c1] = (1.0 - a) * _shift_frames(wg, -k) + a * _shift_frames(wg, -(k + 1))
-    return gx, goff, gw
+    t = x.shape[1]
+    interp, d_interp = _mixing(params, t)
+    w = params.weights[:, :, :, None]
+    mix = w * interp
+    xm, gym = batch_last(x, 2), batch_last(gy, 2)
+    gxm = np.empty_like(xm)
+    gram = np.empty(interp.shape)
+    for g, (c0, c1) in enumerate(groups.ranges):
+        gy_g = _per_sample(gym, c0, c1)
+        np.matmul(gy_g, mix[:, g], out=_per_sample(gxm, c0, c1))
+        np.matmul(gy_g.transpose(0, 2, 1), _per_sample(xm, c0, c1), out=gram[:, g])
+    gw = (interp * gram).sum(axis=3)
+    goff = (w * d_interp * gram).sum(axis=(2, 3))
+    return gxm.transpose(3, 4, 0, 1, 2), goff, gw
 
 
 def tsm_shift(x, spec: ShiftSpec) -> np.ndarray:
@@ -197,23 +204,34 @@ def tsm_shift(x, spec: ShiftSpec) -> np.ndarray:
     x = as_f64(x)
     if x.ndim != 5:
         raise ShapeError(f"tsm_shift input must be [N,T,C,H,W], got rank {x.ndim}")
-    fc = spec.fold_channels(x.shape[2])
-    y = np.zeros_like(x)
-    y[:, :-1, :fc] = x[:, 1:, :fc]
-    y[:, 1:, fc : 2 * fc] = x[:, :-1, fc : 2 * fc]
-    y[:, :, 2 * fc :] = x[:, :, 2 * fc :]
-    return y
+    return _shift_folds(x, spec.fold_channels(x.shape[2]), 1)
 
 
 def tsm_shift_backward(gy, spec: ShiftSpec) -> np.ndarray:
     """Transpose shift: routes gradients back to their source frames."""
     gy = as_f64(gy)
-    fc = spec.fold_channels(gy.shape[2])
-    gx = np.zeros_like(gy)
-    gx[:, 1:, :fc] = gy[:, :-1, :fc]
-    gx[:, :-1, fc : 2 * fc] = gy[:, 1:, fc : 2 * fc]
-    gx[:, :, 2 * fc :] = gy[:, :, 2 * fc :]
-    return gx
+    return _shift_folds(gy, spec.fold_channels(gy.shape[2]), -1)
+
+
+def _shift_folds(x: np.ndarray, fc: int, k: int) -> np.ndarray:
+    """out[t] = x[t+k] on the first fold, x[t-k] on the second, zero-padded;
+    k is +1 or -1.
+
+    In (C, H*W*N*T) memory a frame shift is a shift of each channel's run by
+    one place; the frames it carries across a sample boundary are zeroed.
+    """
+    t = x.shape[1]
+    xm = batch_last(x, 2)
+    ym = np.empty_like(xm)
+    src, dst = xm.reshape(xm.shape[0], -1), ym.reshape(ym.shape[0], -1)
+    for fold, step in ((slice(0, fc), k), (slice(fc, 2 * fc), -k)):
+        if step > 0:
+            dst[fold, :-step] = src[fold, step:]
+        else:
+            dst[fold, -step:] = src[fold, :step]
+        ym[fold, ..., t - 1 if step > 0 else 0] = 0.0
+    dst[2 * fc :] = src[2 * fc :]
+    return ym.transpose(3, 4, 0, 1, 2)
 
 
 def segment_consensus(logits) -> np.ndarray:

@@ -10,6 +10,7 @@ replays the exact arithmetic of the uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,11 @@ from .optim import Schedule, SgdConfig, lr_at, sgd_step
 from .sampling import ClipSamplerSpec, train_augment_view
 from .synth import labels_to_matrix, read_manifest
 from .videofile import load_video, materialize_view
+
+
+class NonFiniteLossError(ArithmeticError):
+    """A training step's loss is NaN or infinite; the run stopped before
+    that step's backward pass and update."""
 
 
 def _iter_seed(seed: int, iteration: int, stream: int) -> list[int]:
@@ -142,6 +148,9 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
                 seed=_iter_seed(cfg.seed, k, 2), return_cache=True,
             )
             loss, g_logits = loss_fn(logits, targets)
+            if not math.isfinite(loss):
+                raise NonFiniteLossError(f"iteration {k}: loss is {loss}; "
+                                         f"stopped before its update, checkpoints kept")
             params.zero_grads()
             backbone_backward(g_logits, cache, params, mcfg)
             lr = lr_at(schedule, sgd_cfg, k)

@@ -121,3 +121,57 @@ def test_truncated_checkpoint_is_cli_validation_error(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(path), "--val-manifest", str(manifest),
                  "--data-root", str(tmp_path)]) == 1
     assert "truncated in the data of tensor 0 'alpha'" in capsys.readouterr().err
+
+
+class _FailingFile:
+    """A file that takes `writes_ok` writes, then fails every one, as on a full disk."""
+
+    def __init__(self, fh, writes_ok):
+        self.fh, self.left = fh, writes_ok
+
+    def write(self, data):
+        if self.left == 0:
+            raise OSError(28, "No space left on device")
+        self.left -= 1
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _fail_midway(monkeypatch, writes_ok):
+    import builtins
+
+    from temporalkit import checkpoint
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *a, **k: _FailingFile(builtins.open(*a, **k), writes_ok),
+                        raising=False)
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.xtck"
+    save_checkpoint(path, [("alpha", np.arange(6.0).reshape(2, 3))])
+    before = path.read_bytes()
+    _fail_midway(monkeypatch, writes_ok=4)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, [("alpha", np.ones((2, 3))), ("beta", np.ones(4))])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.xtck"]
+
+
+def test_failed_prediction_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    from temporalkit.evaluate import write_predictions
+    from temporalkit.metrics import PredictionMatrix
+
+    path = tmp_path / "preds.csv"
+    write_predictions(path, PredictionMatrix(("a", "b"), np.array([[0.1, 0.2], [0.3, 0.4]])))
+    before = path.read_bytes()
+    _fail_midway(monkeypatch, writes_ok=1)
+    with pytest.raises(OSError, match="No space left"):
+        write_predictions(path, PredictionMatrix(("c", "d"), np.array([[0.5, 0.6], [0.7, 0.8]])))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]

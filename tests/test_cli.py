@@ -239,3 +239,26 @@ class TestEnsembleAndMap:
         wrong_manifest = str(dataset / "train" / "manifest.tsv")
         assert main(["map", "--predictions", str(preds_file),
                      "--manifest", wrong_manifest]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_non_finite_loss_stops_with_exit_4_and_keeps_checkpoints(dataset, tmp_path, capsys):
+    from temporalkit.train import NonFiniteLossError
+
+    assert not issubclass(NonFiniteLossError, ValueError)  # exit 1 must not swallow it
+    out = tmp_path / "blowup"
+    # an absurd learning rate overflows the weights within a few steps
+    code = main(["train"] + train_flags(dataset, out, seed=9, lr=1e200, warmup_iters=0,
+                                        checkpoint_interval=1, eval_interval=100))
+    err = capsys.readouterr().err
+    assert code == 4, err
+    lines = (out / "metrics.log").read_text().splitlines()
+    bad = len(lines)  # the failing iteration logs nothing
+    assert 1 <= bad < 20
+    assert f"iteration {bad}: loss is " in err
+    assert all(np.isfinite(float(line.split("\t")[2])) for line in lines)
+    # checkpoints up to the last finite step stay; none is written for the failing step
+    saved = sorted(p.name for p in out.glob("checkpoint*.xtck"))
+    assert saved == [f"checkpoint_{i:06d}.xtck" for i in range(1, bad + 1)]
+    _, _, last_iter = unpack_training_state(load_checkpoint(out / saved[-1]))
+    assert last_iter == bad

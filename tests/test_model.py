@@ -143,6 +143,15 @@ class TestBackboneForward:
             )
             assert np.max(np.abs(delta)) <= 1e-12
 
+    @pytest.mark.parametrize("head", ["pool", "consensus"])
+    def test_identity_at_init_is_bit_exact(self, head):
+        # zero heads give the identity mixing matrix, which the interlace
+        # GEMM applies exactly
+        cfgs = {mode: micro_config(mode, head=head, height=16, width=16) for mode in ("none", "tin")}
+        clip = np.random.default_rng(11).random((3, 4, 1, 16, 16))
+        logits = {mode: backbone_forward(clip, init_params(cfg, 12), cfg) for mode, cfg in cfgs.items()}
+        assert logits["tin"].tobytes() == logits["none"].tobytes()
+
     def test_frame_permutation_invariance_without_temporal_module(self):
         cfg = micro_config("none")
         params = init_params(cfg, seed=9)

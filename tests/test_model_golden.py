@@ -17,18 +17,18 @@ import pytest
 from temporalkit.model import ModelConfig, backbone_backward, backbone_forward, init_params
 
 GOLDEN = {
-    ("none", "pool", False): "f8ea35932d1832d98061cd47af76d9661f12efd1a4401427f62cb517276daa35",
-    ("none", "pool", True): "6bdcdb7c885c8f889d83d7ffe05d71d6967e6b2f823d495a0674baf136e3924a",
-    ("none", "consensus", False): "8d5c6b77c4507fd3e63699666809204d9fe5717134968a72b00ecddda177b410",
-    ("none", "consensus", True): "2c595c4caea208b4dec75ff579cbc0c27191f687431207b35f68aaff6e4cb7b9",
-    ("tsm", "pool", False): "fa05f0ff9c692473f5d943e2451a8021b454938f55cd0e1ebfc0270cea21c453",
-    ("tsm", "pool", True): "c124c047a9e3b35e1f2fa6e99565f6eb5b2ec409c9e11e1a895327cec53b7562",
-    ("tsm", "consensus", False): "be03949bd269de76df19ef4f7cb382bc3876987a6be23235c510babc6557c5a0",
-    ("tsm", "consensus", True): "b88eac76948311fb4ea1ee5d585e81ab0ec9485d168206d87c03083304fcee3b",
-    ("tin", "pool", False): "6a4b9cecdfac9eab0fc77a9ba8e5a110ad73837d336be4e2a20375740630725c",
-    ("tin", "pool", True): "ecbc954a801acf79584a6b13f65eb6e486a88d133e200a4a18337f0ba8616a7b",
-    ("tin", "consensus", False): "72ead2b8b98e49ec1f8f7bc423faa87c1492d0da8cfc6cee6bd034c54044f2de",
-    ("tin", "consensus", True): "b55a0bd8a1df0bed0cce22af8689ab72399d97b2a0a825b922f89b871861cfd7",
+    ("none", "pool", False): "c26bd4a5946c59e7efbc605b5bf7dab07a597755ff2fe6cd8cd0241096a0c359",
+    ("none", "pool", True): "2cbf50ad42004727eeb427ec6ebdb1667d0828eb985766c68b59d4f11191b634",
+    ("none", "consensus", False): "180ababdd3a8d7019b2395a13b7e3a1ed3ccbee458b9de761eb748c65b1e09a2",
+    ("none", "consensus", True): "8f78503a2441d1b27b804d1cc35b6810c7d7f86e794327e3234c04045d1c68d0",
+    ("tsm", "pool", False): "3b276fb53557b5cdf1aed62cf2b813bf303ecd83211c015502f5c8cd865acb9d",
+    ("tsm", "pool", True): "a2d7ba56b809b4ac5da6f2bfd3732f43fa694f4c3aaf1b0542acdaf4ae14fde7",
+    ("tsm", "consensus", False): "fc7594938ec64bccad0fa535cf607113630ee3bf0bcffbfb25690565c9c35fb5",
+    ("tsm", "consensus", True): "7d91ba056a7b362bb172b77ba8e99117990df909d74a705b7d5e46b0045011a9",
+    ("tin", "pool", False): "dcff34b3f77802804532409891bb84ecb3cde600f7309a6cc05d5bbaa0eec5b5",
+    ("tin", "pool", True): "261531c0d128f01e5ba981e6e2921b264d186a4b07afaad0105a30b54bb92376",
+    ("tin", "consensus", False): "790b311c0393c9b2d2cbfc8250875474f870214e99ec4e36da6c169104df9b33",
+    ("tin", "consensus", True): "1e660f19e789de7fe66cf010a2af257716110441615eb994f492f8b90bee5503",
 }
 
 

@@ -138,6 +138,37 @@ class TestInterlaceProperties:
             expected += p.weights[0, 0, t] * float((gy[0, t] * (far - x[0, t])).sum())
         np.testing.assert_allclose(goff[0, 0], expected, rtol=1e-12)
 
+    def test_matches_the_per_sample_loop(self):
+        # the two-tap formula sample by sample and group by group, as written
+        # in interlace_forward's docstring; the mixing-matrix GEMMs sum in
+        # another order, so agreement is to 1e-12 of the largest magnitude
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 6, 5, 2, 3))
+        gy = rng.normal(size=x.shape)
+        groups = GroupSpec.even(5, 2)
+        offsets = np.array([[0.7, -1.3], [2.0, -2.6], [-0.25, 2.9]])
+        p = InterlaceParams(offsets, rng.uniform(0.2, 1.8, (3, 2, 6)), 3.0)
+        y = np.zeros_like(x)
+        gx, goff, gw = np.zeros_like(x), np.zeros((3, 2)), np.zeros((3, 2, 6))
+        for i in range(3):
+            for g, (c0, c1) in enumerate(groups.ranges):
+                k = int(np.floor(offsets[i, g]))
+                a = offsets[i, g] - k
+                for t in range(6):
+                    near = x[i, t + k, c0:c1] if 0 <= t + k < 6 else 0.0
+                    far = x[i, t + k + 1, c0:c1] if 0 <= t + k + 1 < 6 else 0.0
+                    w = p.weights[i, g, t]
+                    y[i, t, c0:c1] = w * ((1 - a) * near + a * far)
+                    gw[i, g, t] = float((gy[i, t, c0:c1] * ((1 - a) * near + a * far)).sum())
+                    goff[i, g] += w * float((gy[i, t, c0:c1] * (far - near)).sum())
+                    if 0 <= t + k < 6:
+                        gx[i, t + k, c0:c1] += w * (1 - a) * gy[i, t, c0:c1]
+                    if 0 <= t + k + 1 < 6:
+                        gx[i, t + k + 1, c0:c1] += w * a * gy[i, t, c0:c1]
+        got = (interlace_forward(x, groups, p),) + interlace_backward(gy, x, groups, p)
+        for want, have in zip((y, gx, goff, gw), got):
+            assert np.max(np.abs(have - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 5, 4, 2, 2))
