@@ -1,10 +1,10 @@
 """Command-line surface.
 
-Subcommands: gen-synth, train, eval, gradcheck, ensemble, map. Training and
-evaluation read a key=value config file; every config key is also exposed as
-a --kebab-case flag that overrides the file. Exit codes: 0 success,
-1 validation error, 2 I/O error, 3 gradient-check failure, 4 non-finite
-training loss.
+Subcommands: gen-synth, train, eval, gradcheck, ensemble, map, inspect.
+Training and evaluation read a key=value config file; every config key is
+also exposed as a --kebab-case flag that overrides the file. Exit codes:
+0 success, 1 validation error, 2 I/O error, 3 gradient-check failure,
+4 non-finite training loss.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .checkpoint import ITER_KEY, load_checkpoint, unpack_training_state
 from .config import SCHEMA, ConfigError, build_config, model_config_from_run, parse_value
 from .evaluate import (
     evaluate_predictions,
@@ -119,6 +120,15 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
+def cmd_inspect(args) -> int:
+    entries = load_checkpoint(args.checkpoint)
+    for name, arr in entries:
+        if name != ITER_KEY:
+            print(f"{name}\t{arr.shape}\t{np.linalg.norm(arr.ravel()):.9g}")
+    print(f"iteration\t{unpack_training_state(entries)[2]}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="temporalkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -162,6 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True)
     p.add_argument("--manifest", required=True)
     p.set_defaults(fn=cmd_map)
+
+    p = sub.add_parser("inspect", help="list a checkpoint's tensors, shapes and L2 norms")
+    p.add_argument("checkpoint")
+    p.set_defaults(fn=cmd_inspect)
     return parser
 
 

@@ -186,15 +186,17 @@ def _conv(x5, params: ParamStore, name: str, stride: int, pad: int, cache) -> np
     return y4.reshape(x5.shape[:2] + y4.shape[1:])
 
 
-def _conv_backward(gy5, cache, params: ParamStore, name: str) -> np.ndarray:
-    """Input gradient of `_conv`; its weight and bias gradients accumulate."""
+def _conv_backward(gy5, cache, params: ParamStore, name: str, input_grad: bool = True):
+    """Input gradient of `_conv` (None without `input_grad`); its weight and
+    bias gradients accumulate."""
     x5, cols, stride, pad = cache[name]
     gx4, gw, gb = ops.conv2d_backward(gy5.reshape((-1,) + gy5.shape[2:]),
                                       x5.reshape((-1,) + x5.shape[2:]),
-                                      params[name + ".weight"], stride, pad, cols=cols)
+                                      params[name + ".weight"], stride, pad, cols=cols,
+                                      input_grad=input_grad)
     params.add_grad(name + ".weight", gw)
     params.add_grad(name + ".bias", gb)
-    return gx4.reshape(x5.shape)
+    return None if gx4 is None else gx4.reshape(x5.shape)
 
 
 def _linear(x, params: ParamStore, name: str) -> np.ndarray:
@@ -310,8 +312,14 @@ def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
     return logits, cache
 
 
-def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig):
-    """Accumulate parameter gradients; returns the gradient w.r.t. the clip."""
+def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
+                      clip_grad: bool = True):
+    """Accumulate parameter gradients; returns the gradient w.r.t. the clip.
+
+    With `clip_grad=False` it returns None and the stem skips its input
+    gradient; every parameter gradient is the same bits either way. Conv and
+    interlace layers compute their parameter gradients on `ops`' second lane.
+    """
     n, t, c_last, hh, ww = cache["body_shape"]
     g_head_out = as_f64(g_logits)
     if cfg.head == "consensus":
@@ -340,7 +348,7 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig):
         else:
             g_x = g_xt + g_skip_in
 
-    return _conv_backward(g_x, cache, params, "stem")
+    return _conv_backward(g_x, cache, params, "stem", input_grad=clip_grad)
 
 
 def predict_clip(logits) -> np.ndarray:

@@ -13,9 +13,20 @@ an input in another order is transposed once on entry and gives the same
 values. conv2d and its backward, the spatial pool's backward and the
 temporal ops return batch-innermost arrays; elementwise ops keep the order
 they are given.
+
+Second lane: on a machine with more than one usable CPU, the backward passes
+of conv2d and interlacing compute their parameter gradients on one private
+worker thread while the calling thread computes the input gradient, and join
+it before they return. The arithmetic is the same on either thread, so every
+result is bit-identical to the serial order; with one usable CPU, or for a
+GEMM too small to repay the hand-off, the work runs inline. The worker only
+runs numpy on arrays it is handed, and OpenBLAS keeps its own thread count.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -44,6 +55,62 @@ def batch_innermost(x, lead: int = 1) -> np.ndarray:
     m = batch_last(x, lead)
     rest = m.ndim - lead
     return m.transpose(tuple(range(rest, m.ndim)) + tuple(range(rest)))
+
+
+# ---------------------------------------------------------------------------
+# second lane
+# ---------------------------------------------------------------------------
+
+# A hand-off pays when the GEMM it moves has at least this many multiply-adds.
+# Measured on a 2-vCPU x86-64 host, OpenBLAS at 1 thread: submitting an empty
+# closure to the idle worker and joining it takes 17 us at the median and
+# 42 us at the 90th percentile. Weight-gradient GEMMs at the train-tin shapes
+# run 11-50 multiply-adds per ns, so that is the time of 0.5M-2M of them. In
+# a tin forward+backward at batch 8, 16x32x32, channels 8/16/32, every conv
+# and interlace backward of 2.36M multiply-adds or more was 40-410 us faster
+# on the lane, and every one of 1.05M or fewer was not (-5 to +96 us).
+HANDOFF_MADDS = 2_000_000
+
+
+_lane_lock = threading.Lock()
+_lane_pool = None
+
+
+def _lane():
+    """The second lane: a one-worker pool made at the first hand-off, whose
+    thread starts with its first task; None when this process may run on
+    one CPU only."""
+    global _lane_pool
+    with _lane_lock:
+        if _lane_pool is None and len(os.sched_getaffinity(0)) > 1:
+            # imported here: it takes 3.5 ms, which a run without a hand-off never needs
+            from concurrent.futures import ThreadPoolExecutor
+
+            _lane_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="temporalkit-lane")
+        return _lane_pool
+
+
+def _forget_lane():
+    # a forked child has no worker thread; its first hand-off makes its own
+    global _lane_lock, _lane_pool
+    _lane_lock, _lane_pool = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_lane)
+
+
+def on_lane(fn, madds: int):
+    """Start fn() on the second lane; returns a join that gives its result.
+
+    fn runs inline, before this returns, when `madds` (the multiply-adds of
+    its GEMM) is below HANDOFF_MADDS or there is no lane. fn must not call
+    into temporalkit: it may only run numpy on the arrays it closes over.
+    """
+    lane = _lane() if madds >= HANDOFF_MADDS else None
+    if lane is None:
+        out = fn()
+        return lambda: out
+    return lane.submit(fn).result
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +219,15 @@ def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
     return conv2d_with_cols(x, kernel, bias, stride, pad)[0]
 
 
-def conv2d_backward(gy, x, kernel, stride: int = 1, pad: int = 0, cols=None):
+def conv2d_backward(gy, x, kernel, stride: int = 1, pad: int = 0, cols=None,
+                    input_grad: bool = True):
     """Gradients (gx, gkernel, gbias) of a scalar loss through conv2d.
 
     `cols` accepts the column matrix from conv2d_with_cols to skip the
-    second unfold; results are identical either way.
+    second unfold; results are identical either way. With
+    `input_grad=False` gx is None and neither its GEMM nor its fold runs.
+    Otherwise the kernel and bias gradients run on the second lane (see the
+    module docstring) while this thread computes gx.
     """
     x, kernel = as_f64(x), as_f64(kernel)
     n, c, h, w = x.shape
@@ -165,12 +236,16 @@ def conv2d_backward(gy, x, kernel, stride: int = 1, pad: int = 0, cols=None):
         cols = _im2col(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
     gy_big = batch_last(gy).reshape(co, -1)
 
-    gw = (cols @ gy_big.T).T.reshape(kernel.shape)
-    gb = gy_big.sum(axis=1)
+    def param_grads():
+        return (cols @ gy_big.T).T.reshape(kernel.shape), gy_big.sum(axis=1)
 
-    gcols = kernel.reshape(co, -1).T @ gy_big
-    gx = _col2im(gcols, (c, h, w, n), kh, kw, stride, pad)
-    return gx.transpose(3, 0, 1, 2), gw, gb
+    # without gx there is nothing to overlap, so the gradients run inline
+    join = on_lane(param_grads, cols.size * co if input_grad else 0)
+    gx = None
+    if input_grad:
+        gcols = kernel.reshape(co, -1).T @ gy_big
+        gx = _col2im(gcols, (c, h, w, n), kh, kw, stride, pad).transpose(3, 0, 1, 2)
+    return (gx, *join())
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeError, as_f64, batch_last
+from .ops import ShapeError, as_f64, batch_last, on_lane
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,8 @@ def interlace_backward(gy, x, groups: GroupSpec, params: InterlaceParams):
     G[t,s] = <gy[t], x[s]> summed over the group's channels and pixels,
     gweights[t] = sum_s P[t,s] G[t,s] and goffsets = sum_{t,s} w[t] dP[t,s] G[t,s];
     at exact integer offsets dP is the floor branch's one-sided derivative.
+    The Gram matrices and these two gradients run on the second lane (see
+    `ops`) while this thread computes gx.
     """
     x = as_f64(x)
     _check_interlace_shapes(x, groups, params)
@@ -188,15 +190,19 @@ def interlace_backward(gy, x, groups: GroupSpec, params: InterlaceParams):
     w = params.weights[:, :, :, None]
     mix = w * interp
     xm, gym = batch_last(x, 2), batch_last(gy, 2)
+
+    def param_grads():
+        gram = np.empty(interp.shape)
+        for g, (c0, c1) in enumerate(groups.ranges):
+            np.matmul(_per_sample(gym, c0, c1).transpose(0, 2, 1), _per_sample(xm, c0, c1),
+                      out=gram[:, g])
+        return (w * d_interp * gram).sum(axis=(2, 3)), (interp * gram).sum(axis=3)
+
+    join = on_lane(param_grads, xm.size * t)
     gxm = np.empty_like(xm)
-    gram = np.empty(interp.shape)
     for g, (c0, c1) in enumerate(groups.ranges):
-        gy_g = _per_sample(gym, c0, c1)
-        np.matmul(gy_g, mix[:, g], out=_per_sample(gxm, c0, c1))
-        np.matmul(gy_g.transpose(0, 2, 1), _per_sample(xm, c0, c1), out=gram[:, g])
-    gw = (interp * gram).sum(axis=3)
-    goff = (w * d_interp * gram).sum(axis=(2, 3))
-    return gxm.transpose(3, 4, 0, 1, 2), goff, gw
+        np.matmul(_per_sample(gym, c0, c1), mix[:, g], out=_per_sample(gxm, c0, c1))
+    return (gxm.transpose(3, 4, 0, 1, 2), *join())
 
 
 def tsm_shift(x, spec: ShiftSpec) -> np.ndarray:

@@ -136,9 +136,11 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
     log_path = out_dir / "metrics.log"
     ckpt_path = out_dir / "checkpoint.xtck"
     if resume and log_path.exists():
-        # the resumed run writes every line from its checkpoint's iteration on again
+        # the resumed run writes every line from its checkpoint's iteration on
+        # again; a last line cut short by a crash has no newline and goes too
         lines = log_path.read_text().splitlines(keepends=True)
-        log_path.write_text("".join(ln for ln in lines if int(ln.split("\t")[0]) < start_iter))
+        log_path.write_text("".join(ln for ln in lines if ln.endswith("\n")
+                                    and int(ln.split("\t")[0]) < start_iter))
 
     with open(log_path, "a" if resume else "w") as log:
         for k in range(start_iter, cfg.max_iters):
@@ -152,7 +154,7 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
                 raise NonFiniteLossError(f"iteration {k}: loss is {loss}; "
                                          f"stopped before its update, checkpoints kept")
             params.zero_grads()
-            backbone_backward(g_logits, cache, params, mcfg)
+            backbone_backward(g_logits, cache, params, mcfg, clip_grad=False)
             lr = lr_at(schedule, sgd_cfg, k)
             sgd_step(params.values, params.grads, sgd_cfg, lr, velocity)
 

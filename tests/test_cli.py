@@ -105,6 +105,33 @@ class TestTrain:
         assert len(full_log.splitlines()) == 20
         assert (run / "metrics.log").read_text() == full_log
 
+    def test_resume_drops_a_partly_written_log_line(self, dataset, tmp_path):
+        flags = dict(seed=5, max_iters=14, checkpoint_interval=10)
+        assert main(["train"] + train_flags(dataset, tmp_path / "full", **flags)) == 0
+        run = tmp_path / "run"
+        assert main(["train"] + train_flags(dataset, run, **flags)) == 0
+        # a crash while writing iteration 12's line left only its first character
+        lines = (run / "metrics.log").read_text().splitlines(keepends=True)
+        (run / "metrics.log").write_text("".join(lines[:12]) + lines[12][0])
+        assert main(["train"] + train_flags(dataset, run, **flags)
+                    + ["--resume", str(run / "checkpoint_000010.xtck")]) == 0
+        assert (run / "metrics.log").read_text() == (tmp_path / "full" / "metrics.log").read_text()
+
+    def test_lane_on_and_off_write_the_same_checkpoint(self, dataset, tmp_path, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from temporalkit import ops
+
+        flags = dict(seed=3, max_iters=4, checkpoint_interval=4, temporal_mode="tin")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            monkeypatch.setattr(ops, "_lane", lambda: pool)
+            monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
+            assert main(["train"] + train_flags(dataset, tmp_path / "on", **flags)) == 0
+        monkeypatch.setattr(ops, "_lane", lambda: None)
+        assert main(["train"] + train_flags(dataset, tmp_path / "off", **flags)) == 0
+        for name in ("checkpoint.xtck", "metrics.log"):
+            assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
     def test_tin_at_init_matches_none_loss(self, dataset, tmp_path):
         losses = {}
         for mode in ("tin", "none"):
@@ -200,6 +227,26 @@ class TestEvalAndPredictions:
     def test_incompatible_checkpoint_is_validation_error(self, dataset, trained, tmp_path):
         flags = self.eval_flags(dataset, trained, channels="4,8")
         assert main(flags) == 1
+
+
+class TestInspect:
+    def test_lists_tensors_shapes_norms_and_iteration(self, trained, capsys):
+        assert main(["inspect", str(trained)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        entries = [(n, a) for n, a in load_checkpoint(trained) if n != "__opt__/iter"]
+        assert [r[0] for r in rows[:-1]] == [n for n, _ in entries]
+        for (name, shape, norm), (_, arr) in zip(rows, entries):
+            assert shape == str(arr.shape)
+            assert float(norm) == pytest.approx(np.sqrt(np.sum(arr**2)), rel=1e-8)
+        assert rows[-1] == ["iteration", "20"]
+
+    def test_truncated_file_is_validation_error(self, trained, tmp_path, capsys):
+        cut = tmp_path / "cut.xtck"
+        cut.write_bytes(trained.read_bytes()[:100])
+        assert main(["inspect", str(cut)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {cut}: truncated in " in captured.err
+        assert captured.out == ""
 
 
 class TestEnsembleAndMap:
