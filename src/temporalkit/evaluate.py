@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from . import videofile
+from . import ops, videofile
 from .checkpoint import atomic_write
 from .config import clip_spec_from_config
 from .metrics import LabelMatrix, PredictionMatrix
@@ -30,25 +30,29 @@ _FORWARD_CHUNK = 8
 
 
 def _cut_clips(frames, views) -> np.ndarray:
-    """Stacked clips of `views`, resizing the frames they use once per scale.
+    """[N,T,C,H,W] clips of `views`, resizing the frames they use once per scale.
 
     Each view's crop and flip are cut from its scale's resized frames, whose
-    second resize inside materialize_view is then a no-op. resize_frames
-    treats every frame on its own, so the clips carry the same bits as
-    resizing view by view.
+    second resize inside materialize_view then only cuts the window out.
+    resize_frames treats every frame on its own, so the clips carry the same
+    bits as resizing view by view. Each clip is written straight into a
+    batch-innermost array (see `ops`), which the stem then reads in order.
     """
     used = sorted({i for v in views for i in v.frame_indices})
     at = {frame: k for k, frame in enumerate(used)}
     picked = frames[used]
-    clips = [None] * len(views)
+    clips = None
     for scale in dict.fromkeys(v.scale for v in views):
         scaled = videofile.resize_frames(picked, scale)
         for k, v in enumerate(views):
             if v.scale == scale:
                 local = dataclasses.replace(v, frame_indices=tuple(at[i] for i in v.frame_indices))
-                clips[k] = materialize_view(scaled, local)
+                clip = materialize_view(scaled, local)
+                if clips is None:
+                    clips = ops.empty_batch_innermost((len(views),) + clip.shape, 2)
+                clips[k] = clip
         del scaled  # one scale's frames at a time
-    return np.stack(clips)
+    return clips
 
 
 def _view_probs(frames, views, params, mcfg) -> np.ndarray:

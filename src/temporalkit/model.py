@@ -124,9 +124,6 @@ class ParamStore:
         for g in self.grads.values():
             g[...] = 0.0
 
-    def num_parameters(self) -> int:
-        return sum(v.size for v in self.values.values())
-
 
 def _rng_for(seed: int, name: str) -> np.random.Generator:
     # Name-keyed streams: adding or removing parameters never shifts the

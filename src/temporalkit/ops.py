@@ -50,11 +50,24 @@ def batch_last(x, lead: int = 1) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(tuple(range(lead, x.ndim)) + tuple(range(lead))))
 
 
-def batch_innermost(x, lead: int = 1) -> np.ndarray:
-    """x with its first `lead` axes innermost in memory and its shape unchanged."""
-    m = batch_last(x, lead)
+def _lead_first(m: np.ndarray, lead: int) -> np.ndarray:
+    """The inverse of batch_last's transposition: m's last `lead` axes first."""
     rest = m.ndim - lead
     return m.transpose(tuple(range(rest, m.ndim)) + tuple(range(rest)))
+
+
+def batch_innermost(x, lead: int = 1) -> np.ndarray:
+    """x with its first `lead` axes innermost in memory and its shape unchanged."""
+    return _lead_first(batch_last(x, lead), lead)
+
+
+def empty_batch_innermost(shape, lead: int = 1) -> np.ndarray:
+    """An uninitialized float64 array of `shape` with its first `lead` axes
+    innermost in memory. Writing a [T,C,H,W] clip into row j of a
+    [N,T,C,H,W] one (lead 2) transposes it into place, so a batch assembled
+    this way needs no second copy to reach the order the convolutions read.
+    """
+    return _lead_first(np.empty(tuple(shape[lead:]) + tuple(shape[:lead])), lead)
 
 
 # ---------------------------------------------------------------------------

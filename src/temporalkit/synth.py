@@ -103,11 +103,15 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
-            name, frames, labels = parts
-            frames = int(frames)
+            name, count, labels = parts
+            try:
+                frames = int(count)
+                label_ids = tuple(int(tok) for tok in labels.split(",") if tok != "")
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
+                                 f"got {count!r} and {labels!r}") from None
             if frames < 1:
                 raise ValueError(f"{path}:{lineno}: frame count must be >= 1")
-            label_ids = tuple(int(tok) for tok in labels.split(",") if tok != "")
             rows.append((name, frames, label_ids))
     if not rows:
         raise ValueError(f"{path}: empty manifest")
@@ -116,9 +120,9 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
 
 def labels_to_matrix(rows, num_classes: int) -> np.ndarray:
     out = np.zeros((len(rows), num_classes))
-    for i, (_, _, labels) in enumerate(rows):
+    for i, (name, _, labels) in enumerate(rows):
         for c in labels:
             if not 0 <= c < num_classes:
-                raise ValueError(f"label index {c} out of range for {num_classes} classes")
+                raise ValueError(f"{name}: label index {c} out of range for {num_classes} classes")
             out[i, c] = 1.0
     return out

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ops
 from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, unpack_training_state
 from .config import RunConfig, clip_spec_from_config, model_config_from_run
 from .evaluate import evaluate_predictions
@@ -86,7 +87,7 @@ def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration
     rng = np.random.default_rng(_iter_seed(cfg.seed, iteration, 1))
     replace = len(data) < cfg.batch
     indices = rng.choice(len(data), size=cfg.batch, replace=replace)
-    clips, targets = [], []
+    clips = None  # [N,T,C,H,W], batch-innermost so the stem reads it in order
     for j, idx in enumerate(indices):
         view = train_augment_view(
             data.num_frames(idx), spec, (cfg.scale_min, cfg.scale_max), cfg.crop,
@@ -94,9 +95,11 @@ def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration
         )
         if not cfg.flip:
             view = dataclasses.replace(view, flip=False)
-        clips.append(materialize_view(data.frames(idx), view))
-        targets.append(data.labels[idx])
-    return np.stack(clips), np.stack(targets)
+        clip = materialize_view(data.frames(idx), view)
+        if clips is None:
+            clips = ops.empty_batch_innermost((len(indices),) + clip.shape, 2)
+        clips[j] = clip
+    return clips, data.labels[indices]
 
 
 def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path:

@@ -164,6 +164,20 @@ class TestTrain:
                      "--train-manifest", str(tmp_path / "none.tsv"),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("row,message", [
+        ("vid1.xvid\tabc\t0,4", ":2: frame count and labels must be integers, got 'abc' and '0,4'"),
+        ("vid1.xvid\t16\t0,x", ":2: frame count and labels must be integers, got '16' and '0,x'"),
+        ("vid1.xvid\t16\t0,99", "vid1.xvid: label index 99 out of range for 6 classes"),
+    ])
+    def test_bad_manifest_entry_names_where_it_is(self, tmp_path, capsys, row, message):
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_text(f"vid0.xvid\t16\t0,4\n{row}\n")
+        assert main(["train", "--data-root", str(tmp_path), "--train-manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        where = str(manifest) if message.startswith(":") else ""
+        assert err == f"error: {where}{message}\n"
+
 
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):

@@ -96,6 +96,20 @@ class TestMaterializeView:
         want = frames[3, 1:5, 2:6, 0][:, ::-1]
         np.testing.assert_allclose(clip[1, 0], want)
 
+    @pytest.mark.parametrize("method", ["bilinear", "nearest"])
+    def test_resizing_only_the_crop_window_keeps_the_bits(self, method):
+        # training's augmentation: scales 32-40, a 32x32 crop anywhere, either flip
+        frames = np.random.default_rng(3).random((3, 32, 32, 1))
+        for scale in range(32, 41):
+            full = resize_frames(frames[[2, 0]], scale, method)
+            for y in range(scale - 31):
+                for x in range(scale - 31):
+                    for flip in (False, True):
+                        want = full[:, y : y + 32, x : x + 32]
+                        want = want[:, :, ::-1] if flip else want
+                        clip = materialize_view(frames, View((2, 0), scale, (x, y, 32), flip), method)
+                        assert clip.tobytes() == want.transpose(0, 3, 1, 2).tobytes()
+
     def test_crop_that_does_not_fit_rejected(self):
         frames = np.zeros((2, 8, 8, 1))
         with pytest.raises(ValueError, match="crop"):

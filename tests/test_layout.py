@@ -1,14 +1,26 @@
 """Batch-innermost memory order: the ops give the same bytes whatever order
-their inputs come in, the backbone keeps its activations and gradients in
-that order, and an eval forward frees each conv's columns as it goes."""
+their inputs come in, batch assembly builds clips in that order, the
+backbone keeps its activations and gradients in it, and an eval forward
+frees each conv's columns as it goes.
 
+The sha256 table pins prediction files and a training checkpoint end to end.
+To print it for the code at hand:
+    PYTHONPATH=src python tests/test_layout.py
+"""
+
+import hashlib
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temporalkit import model, ops
+from temporalkit import evaluate, model, ops, train
+from temporalkit.config import RunConfig, clip_spec_from_config, model_config_from_run
 from temporalkit.model import ModelConfig, backbone_backward, backbone_forward, init_params
+from temporalkit.sampling import dense_test_plan
+from temporalkit.synth import generate_dataset
 from temporalkit.temporal import (
     GroupSpec,
     InterlaceParams,
@@ -142,3 +154,100 @@ def test_eval_forward_frees_each_conv_once_it_has_run(monkeypatch):
         tracemalloc.stop()
     # one layer's columns at a time, never all of them
     assert max(col_bytes) < peak < sum(col_bytes)
+
+
+# ---------------------------------------------------------------------------
+# batch assembly
+# ---------------------------------------------------------------------------
+
+GOLDEN = {
+    "clip predictions": "832505718884349e8970daea14bf5b83bf4d7809a23708df2474c441bcd26d94",
+    "dense predictions": "55ea1f47d6937c4d2b3d03e98df3677d2706b4f8228edc3fdad996000a753e0a",
+    "tin checkpoint": "c426f1c75a7b0aa0c5f2188938bd2251b04e79d2e19bde833d913c71e8fa646c",
+}
+
+
+def _make_data(root: Path) -> Path:
+    generate_dataset(root / "train", 8, seed=41, rel_prefix="train/")
+    generate_dataset(root / "val", 2, t=64, seed=42, rel_prefix="val/")
+    return root
+
+
+def _run_config(root: Path, mode: str, **overrides) -> RunConfig:
+    return RunConfig(temporal_mode=mode, data_root=str(root), flip=True,
+                     train_manifest=str(root / "train" / "manifest.tsv"),
+                     val_manifest=str(root / "val" / "manifest.tsv"), **overrides)
+
+
+def _eval_model(root: Path, mode: str):
+    cfg = _run_config(root, mode)
+    data = train.Dataset(cfg.val_manifest, root, cfg.classes)
+    mcfg = model_config_from_run(cfg, data.in_channels)
+    params = init_params(mcfg, 5)
+    rng = np.random.default_rng(6)
+    for name in params.names():
+        if ".tin.offs." in name or ".tin.wts." in name:
+            params.values[name][...] = rng.normal(scale=0.5, size=params[name].shape)
+    return cfg, data, mcfg, params
+
+
+def golden_digests(root: Path) -> dict[str, str]:
+    """sha256 of a clip-mode and a dense prediction file, and of the
+    checkpoint of a short tin training with flips and scales 32-40."""
+    cfg, data, mcfg, params = _eval_model(root, "tin")
+    out = {}
+    for mode in ("clip", "dense"):
+        path = root / f"{mode}.csv"
+        evaluate.write_predictions(path, evaluate.evaluate_predictions(cfg, params, mcfg, data, mode))
+        out[f"{mode} predictions"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    cfg = _run_config(root, "tin", out_dir=str(root / "run"), max_iters=6, batch=4,
+                      warmup_iters=2, eval_interval=6, checkpoint_interval=6)
+    out["tin checkpoint"] = hashlib.sha256(train.run_training(cfg).read_bytes()).hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def data_root(tmp_path_factory):
+    return _make_data(tmp_path_factory.mktemp("layout_data"))
+
+
+def _assembled(root: Path):
+    """(name, clips) from training's batch assembly and dense eval's cutting."""
+    cfg = _run_config(root, "none", batch=5)
+    data = train.Dataset(cfg.train_manifest, root, cfg.classes)
+    spec = clip_spec_from_config(cfg)
+    built, targets = train._build_batch(cfg, data, spec, 3)
+    assert targets.shape == (5, cfg.classes)
+    val = train.Dataset(cfg.val_manifest, root, cfg.classes)
+    plan = dense_test_plan(val.num_frames(0), spec, num_clips=10, crops_per_clip=3,
+                           scales=cfg.scales, crop_size=cfg.crop)
+    cut = evaluate._cut_clips(val.frames(0), list(dict.fromkeys(plan)))
+    return [("_build_batch", built), ("_cut_clips", cut)]
+
+
+def test_batch_assembly_builds_clips_batch_innermost(data_root):
+    for name, clips in _assembled(data_root):
+        assert clips.ndim == 5 and clips.shape[2:] == (1, 32, 32), name
+        assert is_batch_innermost(clips), name
+        # the stem's view of the batch is its memory, not a transposed copy
+        assert np.shares_memory(ops.batch_last(clips, 2), clips), name
+
+
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_assembled_clips_give_the_logits_of_their_c_order_copy(data_root, mode):
+    _, _, mcfg, params = _eval_model(data_root, mode)
+    for name, clips in _assembled(data_root):
+        c_order = np.ascontiguousarray(clips)
+        assert not is_batch_innermost(c_order)
+        got = backbone_forward(clips, params, mcfg)
+        assert got.tobytes() == backbone_forward(c_order, params, mcfg).tobytes(), name
+
+
+def test_prediction_files_and_checkpoint_are_bit_identical(data_root):
+    assert golden_digests(data_root) == GOLDEN
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, digest in golden_digests(_make_data(Path(tmp))).items():
+            print(f'    "{key}": "{digest}",')
