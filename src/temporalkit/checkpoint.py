@@ -24,6 +24,7 @@ VERSION = 1
 OPT_PREFIX = "__opt__/"
 ITER_KEY = OPT_PREFIX + "iter"
 VEL_PREFIX = OPT_PREFIX + "vel/"
+MAX_RANK = 32  # numpy 1.x's limit on an array's rank (2.x allows 64)
 
 
 class CheckpointFormatError(ValueError):
@@ -104,6 +105,11 @@ def load_checkpoint(path) -> list[tuple[str, np.ndarray]]:
             ) from exc
         reader.what = f"the dims of tensor {index} {name!r}"
         (rank,) = reader.u32s(1)
+        if rank > MAX_RANK:
+            raise CheckpointFormatError(
+                f"{path}: tensor {index} {name!r} has rank {rank} at byte offset "
+                f"{reader.pos - 4}, above the limit of {MAX_RANK}"
+            )
         dims = reader.u32s(rank)
         reader.what = f"the data of tensor {index} {name!r}"
         arr = np.frombuffer(reader.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
@@ -123,17 +129,25 @@ def pack_training_state(params, velocity: dict, iteration: int) -> list[tuple[st
     return entries
 
 
-def unpack_training_state(entries):
+def unpack_training_state(entries, path=None):
     """Returns (param dict, velocity dict, iteration); plain params get
-    everything when no optimizer section is present."""
+    everything when no optimizer section is present. `path`, when given,
+    starts each error message."""
+    where = f"{path}: " if path is not None else ""
     param_values, velocity, iteration = {}, {}, 0
     for name, arr in entries:
         if name == ITER_KEY:
-            iteration = int(arr.ravel()[0])
+            value = float(arr.ravel()[0]) if arr.size == 1 else math.nan
+            if not (math.isfinite(value) and value >= 0 and value == int(value)):
+                raise CheckpointFormatError(
+                    f"{where}entry {name!r} of shape {arr.shape} must hold one whole, "
+                    f"non-negative iteration count, got {arr.ravel()[:4].tolist()}"
+                )
+            iteration = int(value)
         elif name.startswith(VEL_PREFIX):
             velocity[name[len(VEL_PREFIX) :]] = arr
         elif name.startswith(OPT_PREFIX):
-            raise CheckpointFormatError(f"unknown reserved entry {name!r}")
+            raise CheckpointFormatError(f"{where}unknown reserved entry {name!r}")
         else:
             param_values[name] = arr
     return param_values, velocity, iteration

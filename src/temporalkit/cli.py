@@ -122,10 +122,11 @@ def cmd_map(args) -> int:
 
 def cmd_inspect(args) -> int:
     entries = load_checkpoint(args.checkpoint)
+    iteration = unpack_training_state(entries, args.checkpoint)[2]
     for name, arr in entries:
         if name != ITER_KEY:
             print(f"{name}\t{arr.shape}\t{np.linalg.norm(arr.ravel()):.9g}")
-    print(f"iteration\t{unpack_training_state(entries)[2]}")
+    print(f"iteration\t{iteration}")
     return EXIT_OK
 
 

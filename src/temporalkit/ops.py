@@ -21,14 +21,67 @@ it before they return. The arithmetic is the same on either thread, so every
 result is bit-identical to the serial order; with one usable CPU, or for a
 GEMM too small to repay the hand-off, the work runs inline. The worker only
 runs numpy on arrays it is handed, and OpenBLAS keeps its own thread count.
+
+Heap policy: importing this module (every compute path does) pins glibc's
+mmap and trim thresholds to 32 MiB with one `mallopt` call each. The
+multi-MB temporaries of a forward or backward are then taken from the heap
+and handed back to it, instead of being mapped fresh and unmapped or trimmed
+at every call, so a repeated call no longer faults their pages in again (see
+HEAP_THRESHOLD_BYTES). It changes no arithmetic. Where the C library has no
+mallopt (macOS, Windows) or ignores it (musl) nothing changes, and
+HEAP_THRESHOLDS_PINNED is False.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 
 import numpy as np
+
+# ---------------------------------------------------------------------------
+# heap policy
+# ---------------------------------------------------------------------------
+
+# glibc's mallopt parameters, and the value both are pinned to. By default
+# glibc serves a block above its mmap threshold (128 KiB at start, raised
+# dynamically) with a fresh mmap and gives it back with munmap, and trims
+# the top of the heap once more than the trim threshold is free there. A
+# forward's multi-MB temporaries (im2col columns, padded inputs, the clip
+# array) are freed at its end, so every call faulted its pages in again:
+# 1,773-2,143 minor faults per repeated eval backbone_forward of 7-8
+# 16x32x32 clips, at about 0.7 us each. Pinned, the freed blocks stay in the
+# heap and the next call reuses them: 0-1 faults per call. 32 MiB is glibc's
+# own cap for its dynamic mmap threshold on 64-bit (DEFAULT_MMAP_THRESHOLD_MAX)
+# and above one dense-eval forward's temporaries (the 70-view clip array is
+# 9.2 MB). Measured on a 2-vCPU x86-64 host, OpenBLAS at 1 thread, in
+# alternating 25 s perfbench pairs: eval-dense-repeat went from 77.5-83.5
+# to 118.3-122.3 videos/s at its reference speed (+54% at the median,
+# faster in 11 of 11 pairs), with peak RSS +2.2%; train-tin,
+# eval-dense-distinct and gradcheck stayed within the spread of their own
+# runs. Dropped variants: a 256 MiB trim threshold cost train-tin 1-4% in
+# 7 of 7 pairs; a 4 MiB mmap threshold left the columns of 8-clip chunks
+# (4.7 MB) on mmap, and dense-distinct then took about 9,400 faults per
+# video.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+HEAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _pin_heap_thresholds() -> bool:
+    """Set glibc's mmap and trim thresholds; False where the C library has no
+    mallopt (macOS, Windows) or ignores it (musl)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return all([mallopt(M_MMAP_THRESHOLD, HEAP_THRESHOLD_BYTES) == 1,
+                mallopt(M_TRIM_THRESHOLD, HEAP_THRESHOLD_BYTES) == 1])
+
+
+HEAP_THRESHOLDS_PINNED = _pin_heap_thresholds()
 
 
 class ShapeError(ValueError):
@@ -356,13 +409,3 @@ def dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def dropout(x, rate: float, seed: int, training: bool) -> np.ndarray:
-    """Zero elements with probability `rate` and rescale; identity in eval."""
-    x = as_f64(x)
-    if not training or rate == 0.0:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-        return x
-    return x * dropout_mask(x.shape, rate, seed)

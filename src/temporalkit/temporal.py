@@ -19,7 +19,7 @@ The shift operator moves each channel's contiguous run by one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,11 +67,16 @@ class GroupSpec:
 
 @dataclass
 class InterlaceParams:
-    """Per-sample fractional offsets [N,G] (frames) and weights [N,G,T]."""
+    """Per-sample fractional offsets [N,G] (frames) and weights [N,G,T].
+
+    `_mixing` keeps the interpolation matrices it builds here, so a backward
+    on the object a forward used does not build them again.
+    """
 
     offsets: np.ndarray
     weights: np.ndarray
     delta_max: float
+    _mix: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.offsets = as_f64(self.offsets)
@@ -142,13 +147,21 @@ def _mixing(params: InterlaceParams, t: int):
     at column t+k+1 (columns outside [0, T) dropped: zero padding); row t of
     dP holds -1 and +1 there. dP is the derivative of P on [k, k+1), so at an
     integer offset it is the one-sided derivative from above.
+
+    The pair is kept on `params` with the bytes of the offsets it was built
+    from, and reused only while T and those bytes are the same, so an
+    offsets array changed in place gets new matrices.
     """
+    key = (t, params.offsets.shape, params.offsets.tobytes())
+    if params._mix is not None and params._mix[0] == key:
+        return params._mix[1]
     k = np.floor(params.offsets)  # mathematical floor keeps a in [0,1) for o < 0
     a = (params.offsets - k)[:, :, None, None]
     src = np.arange(t)[:, None] + k[:, :, None, None]  # [N,G,T,1]: frame t+k
     cols = np.arange(t)
     near, far = cols == src, cols == src + 1
-    return (1.0 - a) * near + a * far, far.astype(np.float64) - near
+    params._mix = key, ((1.0 - a) * near + a * far, far.astype(np.float64) - near)
+    return params._mix[1]
 
 
 def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarray:

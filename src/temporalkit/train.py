@@ -120,7 +120,7 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
     velocity = {name: np.zeros_like(params[name]) for name in params.names()}
     start_iter = 0
     if resume:
-        values, vel, start_iter = unpack_training_state(load_checkpoint(resume))
+        values, vel, start_iter = unpack_training_state(load_checkpoint(resume), resume)
         _load_into(params, values)
         for name in params.names():
             if name in vel:
@@ -194,6 +194,6 @@ def _load_into(params: ParamStore, values: dict) -> None:
 
 def load_params_for_eval(cfg: RunConfig, mcfg: ModelConfig, checkpoint_path) -> ParamStore:
     params = init_params(mcfg, cfg.seed)
-    values, _, _ = unpack_training_state(load_checkpoint(checkpoint_path))
+    values, _, _ = unpack_training_state(load_checkpoint(checkpoint_path), checkpoint_path)
     _load_into(params, values)
     return params

@@ -190,6 +190,13 @@ class TestBackboneForward:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_eval_forward_ignores_dropout(self):
+        params = init_params(micro_config(dropout=0.5), seed=11)
+        clip = np.random.default_rng(12).normal(size=(2, 4, 1, 8, 8))
+        np.testing.assert_array_equal(
+            backbone_forward(clip, params, micro_config(dropout=0.5), seed=1),
+            backbone_forward(clip, params, micro_config(dropout=0.0), seed=1))
+
     def test_consensus_head_matches_pool_head_shape_and_invariance(self):
         cfg = micro_config("none", head="consensus")
         params = init_params(cfg, seed=13)

@@ -209,28 +209,23 @@ class TestGlobalAvgPoolSpatial:
 
 
 class TestDropout:
-    def test_eval_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(5, 5))
-        np.testing.assert_array_equal(ops.dropout(x, 0.5, seed=1, training=False), x)
+    """The model's dropout: it multiplies by ops.dropout_mask in training."""
 
     def test_rate_zero_is_identity(self):
-        x = np.random.default_rng(0).normal(size=(5, 5))
-        np.testing.assert_array_equal(ops.dropout(x, 0.0, seed=1, training=True), x)
+        np.testing.assert_array_equal(ops.dropout_mask((5, 5), 0.0, seed=1), np.ones((5, 5)))
 
     def test_same_seed_same_mask(self):
-        x = np.random.default_rng(0).normal(size=(64, 64))
-        a = ops.dropout(x, 0.5, seed=77, training=True)
-        b = ops.dropout(x, 0.5, seed=77, training=True)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, ops.dropout(x, 0.5, seed=78, training=True))
+        a = ops.dropout_mask((64, 64), 0.5, seed=77)
+        np.testing.assert_array_equal(a, ops.dropout_mask((64, 64), 0.5, seed=77))
+        assert not np.array_equal(a, ops.dropout_mask((64, 64), 0.5, seed=78))
 
     def test_survivors_scaled(self):
-        x = np.ones((256, 256))
-        y = ops.dropout(x, 0.25, seed=3, training=True)
+        y = ops.dropout_mask((256, 256), 0.25, seed=3)
         kept = y[y != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs((y != 0).mean() - 0.75) < 0.02
 
     def test_rate_bounds(self):
-        with pytest.raises(ValueError, match="rate"):
-            ops.dropout(np.ones(3), 1.0, seed=0, training=True)
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError, match="rate"):
+                ops.dropout_mask((3,), rate, seed=0)

@@ -196,6 +196,51 @@ class TestInterlaceProperties:
                 assert abs(analytic[idx] - num) <= 1e-4 * max(abs(analytic[idx]), abs(num)) + 1e-7
 
 
+class TestMixingReuse:
+    """interlace_backward reuses the matrices the forward built on the same
+    InterlaceParams, and builds new ones whenever the offsets differ."""
+
+    def _case(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 6, 4, 2, 3))
+        offsets = np.array([[0.7, -1.3], [2.0, -2.6], [-0.25, 2.9]])
+        return x, rng.normal(size=x.shape), GroupSpec.even(4, 2), offsets, rng.uniform(0.2, 1.8, (3, 2, 6))
+
+    def test_backward_after_forward_gives_the_bytes_of_a_fresh_backward(self):
+        x, gy, groups, offsets, weights = self._case()
+        p = InterlaceParams(offsets, weights, 3.0)
+        interlace_forward(x, groups, p)
+        built = p._mix[1]
+        got = interlace_backward(gy, x, groups, p)
+        assert p._mix[1] is built
+        want = interlace_backward(gy, x, groups, InterlaceParams(offsets.copy(), weights, 3.0))
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_offsets_changed_in_place_are_not_served_stale(self):
+        x, gy, groups, offsets, weights = self._case()
+        p = InterlaceParams(offsets, weights, 3.0)
+        interlace_forward(x, groups, p)
+        p.offsets[1, 0] = -0.4
+        fresh = InterlaceParams(p.offsets.copy(), weights, 3.0)
+        assert interlace_forward(x, groups, p).tobytes() == interlace_forward(x, groups, fresh).tobytes()
+        p.offsets[2, 1] = 1.5
+        for a, b in zip(interlace_backward(gy, x, groups, p),
+                        interlace_backward(gy, x, groups, InterlaceParams(p.offsets.copy(), weights, 3.0)),
+                        strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    def test_another_frame_count_gets_its_own_matrices(self):
+        x, _, groups, _, _ = self._case()
+        p = unit_params(3, 2, 6, 0.5, delta_max=3.0)
+        interlace_forward(x, groups, p)
+        short = x[:, :4]
+        p4 = InterlaceParams(p.offsets, np.ones((3, 2, 4)), 3.0)
+        p4._mix = p._mix  # matrices for T=6 on the same offsets
+        want = interlace_forward(short, groups, unit_params(3, 2, 4, 0.5, delta_max=3.0))
+        assert interlace_forward(short, groups, p4).tobytes() == want.tobytes()
+
+
 class TestTsmShift:
     def test_spec_example(self):
         x = np.zeros((1, 3, 4, 1, 1))
