@@ -49,6 +49,18 @@ def atomic_write(path, text: bool = False):
         raise
 
 
+def text_lines(path, error=ValueError):
+    """(line number, line) for each line of a UTF-8 text file; lines end at
+    "\n" only. A line that is not UTF-8 raises `error` with path and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 text "
+                            f"(byte {exc.start + 1} of the line)") from None
+
+
 def save_checkpoint(path, entries: list[tuple[str, np.ndarray]]) -> None:
     with atomic_write(path) as fh:
         fh.write(MAGIC)

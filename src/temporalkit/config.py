@@ -7,9 +7,11 @@ X_TEMPORAL_DATA_ROOT environment variable when neither source sets it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
+from .checkpoint import text_lines
 from .losses import LOSS_KINDS, WEIGHT_RULES
 from .model import HEAD_MODES, TEMPORAL_MODES, ModelConfig
 from .optim import SCHEDULE_KINDS
@@ -19,7 +21,11 @@ DATA_ROOT_ENV = "X_TEMPORAL_DATA_ROOT"
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad setting; `keys` names the settings a validation error is about."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 def _parse_bool(text: str) -> bool:
@@ -29,6 +35,13 @@ def _parse_bool(text: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -76,27 +89,21 @@ class RunConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
-        if self.temporal_mode not in TEMPORAL_MODES:
-            raise ConfigError(f"temporal_mode must be one of {TEMPORAL_MODES}")
-        if self.sampler not in SAMPLER_KINDS:
-            raise ConfigError(f"sampler must be one of {SAMPLER_KINDS}")
-        if self.head not in HEAD_MODES:
-            raise ConfigError(f"head must be one of {HEAD_MODES}")
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"loss must be one of {LOSS_KINDS}")
-        if self.weight_rule not in WEIGHT_RULES:
-            raise ConfigError(f"weight_rule must be one of {WEIGHT_RULES}")
-        if self.schedule not in SCHEDULE_KINDS:
-            raise ConfigError(f"schedule must be one of {SCHEDULE_KINDS}")
+        for key, allowed in (("temporal_mode", TEMPORAL_MODES), ("sampler", SAMPLER_KINDS),
+                             ("head", HEAD_MODES), ("loss", LOSS_KINDS),
+                             ("weight_rule", WEIGHT_RULES), ("schedule", SCHEDULE_KINDS)):
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}", (key,))
         for key in ("frames", "segments", "stride", "crop", "classes", "max_iters", "batch"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
+                raise ConfigError(f"{key} must be >= 1", (key,))
         if self.loss_scale <= 0 or self.lr <= 0:
-            raise ConfigError("loss_scale and lr must be positive")
+            raise ConfigError("loss_scale and lr must be positive", ("loss_scale", "lr"))
         if not self.scales or self.crop > min(self.scales):
-            raise ConfigError("crop must fit the smallest eval scale")
+            raise ConfigError("crop must fit the smallest eval scale", ("crop", "scales"))
         if not 1 <= self.scale_min <= self.scale_max or self.crop > self.scale_min:
-            raise ConfigError("need crop <= scale_min <= scale_max")
+            raise ConfigError("need crop <= scale_min <= scale_max",
+                              ("crop", "scale_min", "scale_max"))
 
     @property
     def resolved_delta_max(self) -> float:
@@ -139,7 +146,7 @@ def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
 _PARSERS = {
     "str": lambda s: s,
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_list,
 }
@@ -158,32 +165,47 @@ def parse_value(key: str, text: str):
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def parse_config_file(path) -> dict:
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, text = line.partition("=")
-            key = key.strip()
+def _read_config_file(path) -> tuple[dict, dict]:
+    """The file's values, and the line each key was last set on."""
+    values, lines = {}, {}
+    for lineno, line in text_lines(path, ConfigError):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        try:
             values[key] = parse_value(key, text.strip())
-    return values
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        lines[key] = lineno
+    return values, lines
+
+
+def parse_config_file(path) -> dict:
+    return _read_config_file(path)[0]
 
 
 def build_config(file_path=None, overrides=None) -> RunConfig:
-    """File values first, CLI overrides on top, then validate as a whole."""
-    merged = {}
+    """File values first, CLI overrides on top, then validate as a whole. A
+    validation error about settings the file made names the file and lines."""
+    merged, lines = {}, {}
     if file_path:
-        merged.update(parse_config_file(file_path))
+        merged, lines = _read_config_file(file_path)
     if overrides:
         for key, value in overrides.items():
             if key not in SCHEMA:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = value
+            lines.pop(key, None)
     try:
         return RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    except ConfigError as exc:
+        where = sorted(lines[key] for key in exc.keys if key in lines)
+        if not where:
+            raise
+        raise ConfigError(f"{file_path}:{','.join(map(str, where))}: {exc}", exc.keys) from None

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import ops, videofile
-from .checkpoint import atomic_write
+from .checkpoint import atomic_write, text_lines
 from .config import clip_spec_from_config
 from .metrics import LabelMatrix, PredictionMatrix
 from .model import backbone_forward, predict_clip
@@ -101,30 +101,31 @@ def write_predictions(path, preds: PredictionMatrix) -> None:
 
 def read_predictions(path) -> PredictionMatrix:
     first_line, rows = {}, []  # id -> the line it was read on, in file order
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected id,p_0,...")
-            if rows and len(parts) - 1 != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: {len(parts) - 1} probabilities, expected {len(rows[0])}"
-                )
-            try:
-                row = [float(tok) for tok in parts[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"{path}:{lineno}: probabilities must be finite")
-            sample_id = parts[0]
-            if sample_id in first_line:
-                raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}, "
-                                 f"first on line {first_line[sample_id]}")
-            first_line[sample_id] = lineno
-            rows.append(row)
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected id,p_0,...")
+        if rows and len(parts) - 1 != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: {len(parts) - 1} probabilities, expected {len(rows[0])}"
+            )
+        try:
+            row = [float(tok) for tok in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}:{lineno}: probabilities must be finite")
+        if min(row) < 0 or max(row) > 1:
+            raise ValueError(f"{path}:{lineno}: probabilities must lie in [0, 1]")
+        sample_id = parts[0]
+        if sample_id in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate id {sample_id!r}, "
+                             f"first on line {first_line[sample_id]}")
+        first_line[sample_id] = lineno
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no prediction rows")
     return PredictionMatrix(tuple(first_line), np.array(rows))

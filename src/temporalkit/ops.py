@@ -17,10 +17,21 @@ they are given.
 Second lane: on a machine with more than one usable CPU, the backward passes
 of conv2d and interlacing compute their parameter gradients on one private
 worker thread while the calling thread computes the input gradient, and join
-it before they return. The arithmetic is the same on either thread, so every
-result is bit-identical to the serial order; with one usable CPU, or for a
-GEMM too small to repay the hand-off, the work runs inline. The worker only
-runs numpy on arrays it is handed, and OpenBLAS keeps its own thread count.
+it before they return. Their forwards split too: conv2d unfolds, multiplies
+and adds the bias for the second half of its output rows on the worker, and
+interlacing mixes its last channel group there, while the calling thread
+does the rest. The arithmetic is the same on either thread, so every result
+is bit-identical to the serial order; with one usable CPU, or for work too
+small to repay the hand-off (HANDOFF_MADDS, FORWARD_HANDOFF_MADDS), the op
+runs its serial statements inline. The worker only runs numpy on arrays it
+is handed.
+
+BLAS thread policy: the lane takes the second CPU, so when this process may
+use more than one CPU and neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS
+is set, importing this module gives numpy's bundled OpenBLAS one thread
+(BLAS_THREADS_PINNED is then True). Its own threads would otherwise spin on
+the core the lane needs. A thread count set in the environment is left as
+it is, and where numpy has no bundled scipy-openblas nothing changes.
 
 Heap policy: importing this module (every compute path does) pins glibc's
 mmap and trim thresholds to 32 MiB with one `mallopt` call each. The
@@ -35,6 +46,7 @@ HEAP_THRESHOLDS_PINNED is False.
 from __future__ import annotations
 
 import ctypes
+import glob
 import os
 import threading
 
@@ -82,6 +94,37 @@ def _pin_heap_thresholds() -> bool:
 
 
 HEAP_THRESHOLDS_PINNED = _pin_heap_thresholds()
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread policy
+# ---------------------------------------------------------------------------
+
+def _lane_cpus() -> bool:
+    """True when this process may run on more than one CPU: it has a lane."""
+    return len(os.sched_getaffinity(0)) > 1
+
+
+def _pin_blas_threads() -> bool:
+    """Give the bundled OpenBLAS one thread when the lane takes the second
+    CPU and the environment sets no thread count; False where it does not
+    apply or numpy's OpenBLAS has no such setter."""
+    if any(os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        return False
+    if not _lane_cpus():
+        return False
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    try:  # numpy's wheels bundle OpenBLAS with a symbol suffix
+        setter = ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return False
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(1)
+    return True
+
+
+BLAS_THREADS_PINNED = _pin_blas_threads()
 
 
 class ShapeError(ValueError):
@@ -137,6 +180,22 @@ def empty_batch_innermost(shape, lead: int = 1) -> np.ndarray:
 # on the lane, and every one of 1.05M or fewer was not (-5 to +96 us).
 HANDOFF_MADDS = 2_000_000
 
+# A forward split (conv2d_with_cols by output rows, interlace_forward by
+# channel group) pays when the GEMMs it splits add up to at least this many
+# multiply-adds. It is not HANDOFF_MADDS: a forward hands off half of its
+# unfold copy and GEMM, not a whole weight-gradient GEMM. Measured on a
+# 2-vCPU x86-64 host, OpenBLAS at 1 thread, timing whole eval
+# backbone_forward calls of 16x32x32 clips (channels 8/16/32) with the
+# threshold at 1M, 1.5M, 2M and 3M, alternating in one process: at 8 tsm
+# clips the forward took 1.66-2.69 ms serial, 13-26% less at 1M-2M and
+# 9-18% less at 3M; at 6 clips 17-18% less at 1M-1.5M; at 4 clips 6-12%
+# less in two of three runs and 3-8% more in one. At 2 clips (1.18M per
+# conv) a 1M threshold cost 15% and 1.5M nothing. Per call, conv splits of
+# 1.8M-4.7M multiply-adds were faster in 36 of 49 timings (by up to
+# 140 us), and most of 1.2M or fewer were slower (by 5-37 us);
+# interlacing's two groups at 8 clips of block 0 (4.2M) went 225 -> 136 us.
+FORWARD_HANDOFF_MADDS = 1_500_000
+
 
 _lane_lock = threading.Lock()
 _lane_pool = None
@@ -148,7 +207,7 @@ def _lane():
     one CPU only."""
     global _lane_pool
     with _lane_lock:
-        if _lane_pool is None and len(os.sched_getaffinity(0)) > 1:
+        if _lane_pool is None and _lane_cpus():
             # imported here: it takes 3.5 ms, which a run without a hand-off never needs
             from concurrent.futures import ThreadPoolExecutor
 
@@ -179,6 +238,13 @@ def on_lane(fn, madds: int):
     return lane.submit(fn).result
 
 
+def forward_lane(madds: int):
+    """The lane a forward splits work of `madds` multiply-adds onto, or None
+    when that is below FORWARD_HANDOFF_MADDS or there is no lane; the forward
+    then runs its serial statements. What it submits obeys on_lane's rule."""
+    return _lane() if madds >= FORWARD_HANDOFF_MADDS else None
+
+
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
@@ -187,13 +253,15 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(xm: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Unfold (C,H,W,B) input into columns [C*kh*kw, Ho*Wo*B].
+def _unfold(xm: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The (C,kh,kw,Ho,Wo,B) window view of (C,H,W,B) input; with `pad` it
+    views a zero-padded copy.
 
-    Rows run over (channel, tap), columns over (output pixel, image) with the
-    images innermost, so on a batch-innermost input the copy moves runs of B
-    (Wo*B at stride 1) values. Any other strides are read as they are; the
-    padding or unfolding copy is then also the transposition.
+    Reshaped to [C*kh*kw, Ho*Wo*B] it is the im2col column matrix: rows run
+    over (channel, tap), columns over (output pixel, image) with the images
+    innermost, so on a batch-innermost input the copy moves runs of B (Wo*B
+    at stride 1) values. Any other strides are read as they are; the padding
+    or unfolding copy is then also the transposition.
     """
     c, h, w, b = xm.shape
     if pad:
@@ -203,13 +271,12 @@ def _im2col(xm: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarr
         xp = xm
     ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
     sc, sh, sw, sb = xp.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
         shape=(c, kh, kw, ho, wo, b),
         strides=(sc, sh, sw, sh * stride, sw * stride, sb),
         writeable=False,
     )
-    return view.reshape(c * kh * kw, ho * wo * b)
 
 
 def _tap_span(tap: int, size: int, out: int, stride: int, pad: int):
@@ -268,16 +335,58 @@ def _check_conv_args(x, kernel, bias, stride, pad):
 
 
 def conv2d_with_cols(x, kernel, bias, stride: int = 1, pad: int = 0):
-    """conv2d that also returns the unfolded columns for reuse in backward."""
+    """conv2d that also returns the unfolded columns for reuse in backward.
+
+    Above FORWARD_HANDOFF_MADDS the output rows are split in two halves, the
+    second on the second lane (see the module docstring); the outputs and
+    columns are the same bits either way.
+    """
     x, kernel, bias = as_f64(x), as_f64(kernel), as_f64(bias)
     _check_conv_args(x, kernel, bias, stride, pad)
     n, _, h, w = x.shape
     co, _, kh, kw = kernel.shape
-    cols = _im2col(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
-    y = kernel.reshape(co, -1) @ cols
-    y += bias[:, None]
     ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
+    lane = forward_lane(kernel.size * ho * wo * n) if ho > 1 else None
+    if lane is None:
+        cols = _unfold(x.transpose(1, 2, 3, 0), kh, kw, stride, pad).reshape(-1, ho * wo * n)
+        y = kernel.reshape(co, -1) @ cols
+        y += bias[:, None]
+    else:
+        y, cols = _conv_rows_split(lane, x, kernel, bias, stride, pad)
     return y.reshape(co, ho, wo, n).transpose(3, 0, 1, 2), cols
+
+
+def _conv_rows_split(lane, x, kernel, bias, stride, pad):
+    """conv2d_with_cols's unfold, GEMM and bias add in two halves of output
+    rows, the second on `lane`: (y [Co, Ho*Wo*N], cols).
+
+    Each half copies its rows of the window view into its columns of the
+    shared column buffer and runs its GEMM into its columns of the output,
+    so every value is computed by the same arithmetic as the unsplit op. The
+    padding copy, both buffers and every view the halves use are made here,
+    on the calling thread; the worker only runs numpy on them.
+    """
+    co, _, kh, kw = kernel.shape
+    view = _unfold(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
+    c, _, _, ho, wo, b = view.shape
+    cols = np.empty((c * kh * kw, ho * wo * b))
+    y = np.empty((co, cols.shape[1]))
+    cols6, wmat, bias_col = cols.reshape(view.shape), kernel.reshape(co, -1), bias[:, None]
+    halves = []
+    for rows in (slice(0, (ho + 1) // 2), slice((ho + 1) // 2, ho)):
+        part = slice(rows.start * wo * b, rows.stop * wo * b)
+        halves.append((cols6[:, :, :, rows], view[:, :, :, rows], cols[:, part], y[:, part]))
+    join = lane.submit(_conv_rows, wmat, bias_col, *halves[1]).result
+    _conv_rows(wmat, bias_col, *halves[0])
+    join()
+    return y, cols
+
+
+def _conv_rows(wmat, bias_col, cols_rows, windows, cols_part, y_part):
+    """One half of _conv_rows_split: unfold its rows, then GEMM and bias add."""
+    np.copyto(cols_rows, windows)
+    np.matmul(wmat, cols_part, out=y_part)
+    np.add(y_part, bias_col, out=y_part)
 
 
 def conv2d(x, kernel, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -299,7 +408,7 @@ def conv2d_backward(gy, x, kernel, stride: int = 1, pad: int = 0, cols=None,
     n, c, h, w = x.shape
     co, _, kh, kw = kernel.shape
     if cols is None:
-        cols = _im2col(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
+        cols = _unfold(x.transpose(1, 2, 3, 0), kh, kw, stride, pad).reshape(c * kh * kw, -1)
     gy_big = batch_last(gy).reshape(co, -1)
 
     def param_grads():

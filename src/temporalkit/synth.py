@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import text_lines
 from .videofile import write_video
 
 CLASS_NAMES = ("right", "left", "down", "up", "grows", "shrinks")
@@ -95,24 +96,23 @@ def generate_dataset(out_dir, num_videos: int, t: int = 16, h: int = 32, w: int 
 def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
     """Rows of (relative path, frame count, label indices)."""
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
-            name, count, labels = parts
-            try:
-                frames = int(count)
-                label_ids = tuple(int(tok) for tok in labels.split(",") if tok != "")
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
-                                 f"got {count!r} and {labels!r}") from None
-            if frames < 1:
-                raise ValueError(f"{path}:{lineno}: frame count must be >= 1")
-            rows.append((name, frames, label_ids))
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
+        name, count, labels = parts
+        try:
+            frames = int(count)
+            label_ids = tuple(int(tok) for tok in labels.split(",") if tok != "")
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
+                             f"got {count!r} and {labels!r}") from None
+        if frames < 1:
+            raise ValueError(f"{path}:{lineno}: frame count must be >= 1")
+        rows.append((name, frames, label_ids))
     if not rows:
         raise ValueError(f"{path}: empty manifest")
     return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ShapeError, as_f64, batch_last, on_lane
+from .ops import ShapeError, as_f64, batch_last, forward_lane, on_lane
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,9 @@ def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarr
     where x~ is x zero-padded outside the clip. Per sample and group that is
     one T x T frame-mixing matrix M = w * P (see `_mixing`) applied to every
     channel and pixel: y = x @ M.T over the frame axis, one batched GEMM per
-    group on the batch-innermost layout. Output shape equals input.
+    group on the batch-innermost layout. Output shape equals input. When the
+    GEMMs reach `ops.FORWARD_HANDOFF_MADDS` multiply-adds in all, the last
+    group's runs on the second lane while this thread runs the others.
     """
     x = as_f64(x)
     _check_interlace_shapes(x, groups, params)
@@ -180,9 +182,18 @@ def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarr
     mix = params.weights[:, :, :, None] * _mixing(params, t)[0]
     xm = batch_last(x, 2)
     ym = np.empty_like(xm)
-    for g, (c0, c1) in enumerate(groups.ranges):
+    # without a lane the loop below runs every group, as the serial op does
+    last = groups.num_groups - 1
+    lane = forward_lane(xm.size * t) if last else None
+    if lane is not None:
+        c0, c1 = groups.ranges[last]
+        join = lane.submit(np.matmul, _per_sample(xm, c0, c1), mix[:, last].transpose(0, 2, 1),
+                           out=_per_sample(ym, c0, c1)).result
+    for g, (c0, c1) in enumerate(groups.ranges[:last] if lane else groups.ranges):
         np.matmul(_per_sample(xm, c0, c1), mix[:, g].transpose(0, 2, 1),
                   out=_per_sample(ym, c0, c1))
+    if lane is not None:
+        join()
     return ym.transpose(3, 4, 0, 1, 2)
 
 

@@ -4,10 +4,12 @@ temporaries from the heap instead of faulting fresh pages in.
 Under glibc's default thresholds each repeated backbone_forward of 7-8
 16x32x32 clips made about 1,800-2,100 minor page faults, as its
 multi-MB column and padding buffers were unmapped or trimmed at the end of
-one call and faulted in again by the next.
+one call and faulted in again by the next. The guard also runs with every
+forward split onto the second lane.
 """
 
 import resource
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,19 @@ def _minor_faults() -> int:
 
 @pytest.mark.parametrize("mode,clips", [("none", 8), ("tsm", 8), ("tin", 7)])
 def test_repeated_eval_forward_does_not_fault_its_temporaries_in_again(mode, clips):
+    _assert_few_faults_per_forward(mode, clips)
+
+
+@pytest.mark.parametrize("mode,clips", [("none", 8), ("tsm", 8), ("tin", 7)])
+def test_forward_split_onto_the_lane_does_not_fault_either(mode, clips, monkeypatch):
+    # every forward split goes to a worker, whose allocations count too
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        monkeypatch.setattr(ops, "_lane", lambda: pool)
+        monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
+        _assert_few_faults_per_forward(mode, clips)
+
+
+def _assert_few_faults_per_forward(mode, clips):
     if not ops.HEAP_THRESHOLDS_PINNED:
         pytest.skip("the C library has no mallopt, so the heap policy is not applied")
     cfg = ModelConfig(frames=16, in_channels=1, height=32, width=32, num_classes=8,

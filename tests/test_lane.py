@@ -1,28 +1,55 @@
-"""The second lane: parameter gradients computed on a worker thread are the
-same bits as the serial order, and the lane adds at most one thread."""
+"""The second lane: forward halves and parameter gradients computed on a
+worker thread are the same bits as the serial order, the worker calls none of
+the functions the benchmark's tracer wraps, and the lane adds at most one
+thread. OpenBLAS gets one thread only when the environment sets none."""
 
 import concurrent.futures
+import glob
+import importlib
+import importlib.util
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temporalkit import ops
+from temporalkit import evaluate, ops
 from temporalkit.model import ModelConfig, backbone_backward, backbone_forward, init_params
+from temporalkit.sampling import ClipSamplerSpec, dense_test_plan
+from temporalkit.temporal import GroupSpec, InterlaceParams, interlace_forward
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A one-worker pool that counts what it is handed."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
 
 
 @pytest.fixture
 def lane_on(monkeypatch):
-    """Every closure goes to a worker, whatever its size or the CPU count."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    """Every forward split and every closure goes to a worker, whatever its
+    size or the CPU count; yields the pool."""
+    with CountingPool() as pool:
         monkeypatch.setattr(ops, "_lane", lambda: pool)
         monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
-        yield
+        monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
+        yield pool
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(ops, "_lane", lambda: None)
 
 
 def _model(mode, head):
@@ -47,10 +74,114 @@ def _gradients(mode, head, clip_grad=True):
 @pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
 def test_lane_gradients_are_bit_identical_to_serial(mode, head, lane_on, monkeypatch):
     g_lane, grads_lane = _gradients(mode, head)
-    monkeypatch.setattr(ops, "_lane", lambda: None)
+    _serial(monkeypatch)
     g_serial, grads_serial = _gradients(mode, head)
     assert g_lane.tobytes() == g_serial.tobytes()
     assert grads_lane == grads_serial
+
+
+@pytest.mark.parametrize("head", ["pool", "consensus"])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_lane_logits_are_bit_identical_to_serial(mode, head, lane_on, monkeypatch):
+    cfg, params, clip, _ = _model(mode, head)
+    on = backbone_forward(clip, params, cfg)
+    assert lane_on.submitted > 0
+    _serial(monkeypatch)
+    assert on.tobytes() == backbone_forward(clip, params, cfg).tobytes()
+
+
+def _dense_probs():
+    """evaluate._view_probs on a 24-frame video's 4x3x2-view dense plan."""
+    cfg = ModelConfig(frames=8, in_channels=1, height=16, width=16, num_classes=4,
+                      temporal_mode="tsm", channels=(4, 8))
+    params = init_params(cfg, seed=2)
+    frames = np.random.default_rng(3).random((24, 20, 20, 1))
+    views = list(dense_test_plan(24, ClipSamplerSpec.strided(8, 1), num_clips=4,
+                                 crops_per_clip=3, scales=(16, 20), crop_size=16))
+    return evaluate._view_probs(frames, views, params, cfg)
+
+
+def test_dense_view_probs_are_bit_identical_to_serial(lane_on, monkeypatch):
+    on = _dense_probs()
+    assert lane_on.submitted > 0
+    _serial(monkeypatch)
+    assert on.tobytes() == _dense_probs().tobytes()
+
+
+# (C_in, H, C_out, k, stride, pad) of every conv in the default model (channels
+# 8/16/32 on 1x32x32 frames): the stem, then each block's conv1, conv2, skip
+_DEFAULT_CONVS = [(1, 32, 8, 3, 2, 1),
+                  (8, 16, 8, 3, 2, 1), (8, 8, 8, 3, 1, 1), (8, 16, 8, 1, 2, 0),
+                  (8, 8, 16, 3, 2, 1), (16, 4, 16, 3, 1, 1), (8, 8, 16, 1, 2, 0),
+                  (16, 4, 32, 3, 2, 1), (32, 2, 32, 3, 1, 1), (16, 4, 32, 1, 2, 0)]
+
+
+# 128 images: a train-tin batch and an 8-clip eval chunk of 16 frames; 96 and
+# 112: the dense chunks of 6 and 7 clips
+@pytest.mark.parametrize("images", [128, 112, 96])
+@pytest.mark.parametrize("shape", _DEFAULT_CONVS)
+def test_split_conv_is_bit_identical_to_unsplit(shape, images, lane_on, monkeypatch):
+    c, h, co, k, stride, pad = shape
+    rng = np.random.default_rng(images + c * h + co)
+    x = ops.batch_innermost(rng.normal(size=(images, c, h, h)))
+    kernel, bias = rng.normal(size=(co, c, k, k)), rng.normal(size=co)
+    y, cols = ops.conv2d_with_cols(x, kernel, bias, stride, pad)
+    assert lane_on.submitted == 1
+    _serial(monkeypatch)
+    y_ref, cols_ref = ops.conv2d_with_cols(x, kernel, bias, stride, pad)
+    assert y.strides == y_ref.strides and y.tobytes() == y_ref.tobytes()
+    assert cols.tobytes() == cols_ref.tobytes()
+
+
+@pytest.mark.parametrize("num_groups", [2, 3])
+def test_split_interlace_forward_is_bit_identical_to_unsplit(num_groups, lane_on, monkeypatch):
+    rng = np.random.default_rng(num_groups)
+    n, t, c = 8, 16, 8
+    x = ops.batch_innermost(rng.normal(size=(n, t, c, 16, 16)), 2)
+    params = InterlaceParams(rng.uniform(-3, 3, size=(n, num_groups)),
+                             rng.uniform(0, 2, size=(n, num_groups, t)), delta_max=8.0)
+    groups = GroupSpec.even(c, num_groups)
+    y = interlace_forward(x, groups, params)
+    assert lane_on.submitted == 1
+    _serial(monkeypatch)
+    assert y.tobytes() == interlace_forward(x, groups, params).tobytes()
+
+
+def test_tiny_shapes_make_no_lane_submission(monkeypatch):
+    with CountingPool() as pool:
+        monkeypatch.setattr(ops, "_lane", lambda: pool)
+        _gradients("tin", "pool")  # the model of the tests above, forward and backward
+        rng = np.random.default_rng(4)
+        ops.conv2d(rng.normal(size=(2, 3, 7, 7)), rng.normal(size=(4, 3, 3, 3)), np.zeros(4), 1, 1)
+        assert pool.submitted == 0
+
+
+def _tracer_bindings():
+    """The (module, attribute, span name) triples perfbench's tracer wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.BINDINGS
+
+
+def test_worker_calls_no_function_the_tracer_wraps(lane_on, monkeypatch):
+    """The tracer's span stack belongs to the main thread; a wrapped function
+    entered on the worker would corrupt it."""
+    off_main = []
+    for module, attr, _ in _tracer_bindings():
+        mod = importlib.import_module(module)
+        fn = getattr(mod, attr)
+
+        def on_main_only(*args, _fn=fn, _name=f"{module}.{attr}", **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, on_main_only)
+    _gradients("tin", "pool")
+    _dense_probs()
+    assert lane_on.submitted > 0 and off_main == []
 
 
 @pytest.mark.parametrize("mode", ["none", "tin"])
@@ -73,6 +204,7 @@ def test_conv_backward_without_input_grad(lane_on):
 
 def test_repeated_backward_adds_at_most_one_thread(monkeypatch):
     monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
+    monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
     before = threading.active_count()
     for _ in range(20):
         _gradients("tin", "pool")
@@ -152,3 +284,30 @@ def test_forked_child_gets_its_own_lane(monkeypatch):
     if alive:
         child.kill()
     assert not alive and child.exitcode == 0
+
+
+_BLAS_THREADS = """
+import ctypes
+from temporalkit import ops
+get = getattr(ctypes.CDLL({lib!r}), "scipy_openblas_get_num_threads64_")
+get.argtypes, get.restype = (), ctypes.c_int
+print(ops.BLAS_THREADS_PINNED, get())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one usable CPU: no lane")
+@pytest.mark.parametrize("env,want", [({}, "True 1"),
+                                      ({"OPENBLAS_NUM_THREADS": "2"}, "False 2"),
+                                      ({"OMP_NUM_THREADS": "2"}, "False 2")])
+def test_blas_threads_are_pinned_only_when_the_environment_sets_none(env, want):
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _BLAS_THREADS.format(lib=libs[0])],
+                         capture_output=True, text=True, timeout=60, check=True,
+                         env={**base, **env, "PYTHONPATH": src})
+    assert out.stdout.split() == want.split()
