@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -59,6 +60,28 @@ def text_lines(path, error=ValueError):
             except UnicodeDecodeError as exc:
                 raise error(f"{path}:{lineno}: not UTF-8 text "
                             f"(byte {exc.start + 1} of the line)") from None
+
+
+# inf and nan match too, so that a reader refusing non-finite values says so
+_DECIMAL_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                            r"|inf|infinity|nan)", re.IGNORECASE | re.ASCII)
+
+
+def decimal_int(token: str) -> int:
+    """A text token of ASCII digits only, [0-9]+. int() also takes signs,
+    spaces, underscores and other scripts' digits ("1_6", a fullwidth "1")."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
+
+
+def decimal_float(token: str) -> float:
+    """A text token in plain ASCII decimal notation ("-0.5", "1e-3"), or a
+    spelling of inf or nan. float() also takes spaces, underscores and
+    other scripts' digits."""
+    if not _DECIMAL_FLOAT.fullmatch(token):
+        raise ValueError(f"{token!r} is not a decimal number")
+    return float(token)
 
 
 def save_checkpoint(path, entries: list[tuple[str, np.ndarray]]) -> None:

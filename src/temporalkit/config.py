@@ -11,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass, fields
 
-from .checkpoint import text_lines
+from .checkpoint import decimal_float, decimal_int, text_lines
 from .losses import LOSS_KINDS, WEIGHT_RULES
 from .model import HEAD_MODES, TEMPORAL_MODES, ModelConfig
 from .optim import SCHEDULE_KINDS
@@ -38,14 +38,14 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_float(text: str) -> float:
-    value = float(text)
+    value = decimal_float(text)
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    return tuple(decimal_int(tok.strip()) for tok in text.split(",") if tok.strip() != "")
 
 
 @dataclass
@@ -145,7 +145,7 @@ def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
 # field annotations are strings under `from __future__ import annotations`
 _PARSERS = {
     "str": lambda s: s,
-    "int": int,
+    "int": decimal_int,
     "float": _parse_float,
     "bool": _parse_bool,
     "tuple[int, ...]": _parse_int_list,

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import ops, videofile
-from .checkpoint import atomic_write, text_lines
+from .checkpoint import atomic_write, decimal_float, text_lines
 from .config import clip_spec_from_config
 from .metrics import LabelMatrix, PredictionMatrix
 from .model import backbone_forward, predict_clip
@@ -32,25 +32,24 @@ _FORWARD_CHUNK = 8
 def _cut_clips(frames, views) -> np.ndarray:
     """[N,T,C,H,W] clips of `views`, resizing the frames they use once per scale.
 
-    Each view's crop and flip are cut from its scale's resized frames, whose
-    second resize inside materialize_view then only cuts the window out.
+    The frames the views use are gathered once, T innermost (see
+    `videofile`), and resized once per scale. Each view's crop and flip is
+    then a view of its scale's resized frames, copied in one pass into its
+    row of a batch-innermost array (see `ops`) as runs of T values.
     resize_frames treats every frame on its own, so the clips carry the same
-    bits as resizing view by view. Each clip is written straight into a
-    batch-innermost array (see `ops`), which the stem then reads in order.
+    bits as resizing view by view.
     """
     used = sorted({i for v in views for i in v.frame_indices})
     at = {frame: k for k, frame in enumerate(used)}
-    picked = frames[used]
-    clips = None
+    picked = videofile.pick_frames(frames, used)
+    t, c, size = len(views[0].frame_indices), frames.shape[3], views[0].crop[2]
+    clips = ops.empty_batch_innermost((len(views), t, c, size, size), 2)
     for scale in dict.fromkeys(v.scale for v in views):
         scaled = videofile.resize_frames(picked, scale)
         for k, v in enumerate(views):
             if v.scale == scale:
                 local = dataclasses.replace(v, frame_indices=tuple(at[i] for i in v.frame_indices))
-                clip = materialize_view(scaled, local)
-                if clips is None:
-                    clips = ops.empty_batch_innermost((len(views),) + clip.shape, 2)
-                clips[k] = clip
+                clips[k] = materialize_view(scaled, local)
         del scaled  # one scale's frames at a time
     return clips
 
@@ -113,7 +112,7 @@ def read_predictions(path) -> PredictionMatrix:
                 f"{path}:{lineno}: {len(parts) - 1} probabilities, expected {len(rows[0])}"
             )
         try:
-            row = [float(tok) for tok in parts[1:]]
+            row = [decimal_float(tok) for tok in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
         if not np.all(np.isfinite(row)):

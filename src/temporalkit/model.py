@@ -316,6 +316,9 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
     With `clip_grad=False` it returns None and the stem skips its input
     gradient; every parameter gradient is the same bits either way. Conv and
     interlace layers compute their parameter gradients on `ops`' second lane.
+    The stem's entry, the cache's only hold on the clip, is dropped at the
+    end, so the caller may refill the clip's array while the rest of the
+    cache is still alive.
     """
     n, t, c_last, hh, ww = cache["body_shape"]
     g_head_out = as_f64(g_logits)
@@ -345,7 +348,9 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
         else:
             g_x = g_xt + g_skip_in
 
-    return _conv_backward(g_x, cache, params, "stem", input_grad=clip_grad)
+    g_clip = _conv_backward(g_x, cache, params, "stem", input_grad=clip_grad)
+    del cache["stem"]
+    return g_clip
 
 
 def predict_clip(logits) -> np.ndarray:

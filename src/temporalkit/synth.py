@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import text_lines
+from .checkpoint import decimal_int, text_lines
 from .videofile import write_video
 
 CLASS_NAMES = ("right", "left", "down", "up", "grows", "shrinks")
@@ -105,8 +105,8 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
             raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
         name, count, labels = parts
         try:
-            frames = int(count)
-            label_ids = tuple(int(tok) for tok in labels.split(",") if tok != "")
+            frames = decimal_int(count)
+            label_ids = tuple(decimal_int(tok) for tok in labels.split(",") if tok != "")
         except ValueError:
             raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
                              f"got {count!r} and {labels!r}") from None

@@ -83,11 +83,16 @@ def make_loss_fn(cfg: RunConfig, train_labels: np.ndarray):
     return lambda logits, targets: warp(logits, targets)
 
 
-def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration: int):
+def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration: int,
+                 clips: np.ndarray | None = None):
+    """(clips, targets) of one step. The [N,T,C,H,W] clips are batch-innermost,
+    so the stem reads them in order, and are written into `clips` when given."""
     rng = np.random.default_rng(_iter_seed(cfg.seed, iteration, 1))
     replace = len(data) < cfg.batch
     indices = rng.choice(len(data), size=cfg.batch, replace=replace)
-    clips = None  # [N,T,C,H,W], batch-innermost so the stem reads it in order
+    if clips is None:
+        shape = (cfg.batch, spec.frames, data.in_channels, cfg.crop, cfg.crop)
+        clips = ops.empty_batch_innermost(shape, 2)
     for j, idx in enumerate(indices):
         view = train_augment_view(
             data.num_frames(idx), spec, (cfg.scale_min, cfg.scale_max), cfg.crop,
@@ -95,10 +100,7 @@ def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration
         )
         if not cfg.flip:
             view = dataclasses.replace(view, flip=False)
-        clip = materialize_view(data.frames(idx), view)
-        if clips is None:
-            clips = ops.empty_batch_innermost((len(indices),) + clip.shape, 2)
-        clips[j] = clip
+        clips[j] = materialize_view(data.frames(idx), view)
     return clips, data.labels[indices]
 
 
@@ -146,8 +148,9 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
                                     and int(ln.split("\t")[0]) < start_iter))
 
     with open(log_path, "a" if resume else "w") as log:
+        clips = None  # one batch buffer, refilled in place every step
         for k in range(start_iter, cfg.max_iters):
-            clips, targets = _build_batch(cfg, data, spec, k)
+            clips, targets = _build_batch(cfg, data, spec, k, clips)
             logits, cache = backbone_forward(
                 clips, params, mcfg, training=True,
                 seed=_iter_seed(cfg.seed, k, 2), return_cache=True,

@@ -7,6 +7,15 @@ File layout (all integers little-endian u32):
 Pixels are frame-major, each frame stored H rows by W columns by C channels.
 Loading maps u8 to float64 via /255. The format exists so that temporal
 reversal pairs can be compared byte for byte, with no codec in the way.
+
+Memory order: decoded frames have the shape [T,H,W,C] but are laid out as a
+C-contiguous (H,W,C,T) array, frame index innermost. Every clip is read by
+the convolutions batch-innermost, as (C,H,W,N,T) (see `ops`), so a pixel's
+T values sit next to each other at every stage: `load_video` moves T
+innermost once per video, `resize_frames` blends rows and columns of that
+order, and a view's crop window reaches its batch row as runs of T values.
+Any [T,H,W,C] array is accepted wherever frames are; frame-major input gives
+the same bits, only more slowly.
 """
 
 from __future__ import annotations
@@ -65,8 +74,22 @@ def read_video(path) -> np.ndarray:
 
 
 def load_video(path) -> np.ndarray:
-    """Frames as float64 in [0,1], shape [T,H,W,C]."""
-    return read_video(path).astype(np.float64) / 255.0
+    """Frames as float64 in [0,1], shape [T,H,W,C], laid out T innermost."""
+    frames = read_video(path).transpose(1, 2, 3, 0).astype(np.float64, order="C")
+    frames /= 255.0
+    return frames.transpose(3, 0, 1, 2)
+
+
+def pick_frames(frames: np.ndarray, indices) -> np.ndarray:
+    """frames[indices] for [T,H,W,C] frames, T innermost: a view when T is
+    innermost in `frames` already and the indices step evenly forward, else
+    a gathered copy."""
+    indices = list(indices)
+    step = indices[1] - indices[0] if len(indices) > 1 else 1
+    if frames.strides[0] == frames.itemsize and step > 0 \
+            and all(b - a == step for a, b in zip(indices, indices[1:])):
+        return frames[indices[0] : indices[-1] + 1 : step]
+    return np.take(frames.transpose(1, 2, 3, 0), indices, axis=3).transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +123,11 @@ def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
         rows, cols = slice(y, y + size), slice(x, x + size)
     if (oh, ow) == (h, w):
         return frames if window is None else frames[:, rows, cols]
+    src = frames.transpose(1, 2, 3, 0)  # [H,W,C,T]: contiguous for T-innermost frames
     if method == "nearest":
         ri = np.minimum((np.arange(oh)[rows] + 0.5) * h / oh, h - 1).astype(int)
         ci = np.minimum((np.arange(ow)[cols] + 0.5) * w / ow, w - 1).astype(int)
-        return frames[:, ri][:, :, ci]
+        return np.take(np.take(src, ri, axis=0), ci, axis=1).transpose(3, 0, 1, 2)
 
     def axis_weights(n_in, n_out, keep):
         pos = (np.arange(n_out)[keep] + 0.5) * n_in / n_out - 0.5
@@ -114,15 +138,19 @@ def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
 
     rlo, rhi, rf = axis_weights(h, oh, rows)
     clo, chi, cf = axis_weights(w, ow, cols)
-    top = frames[:, rlo] * (1 - rf)[None, :, None, None] + frames[:, rhi] * rf[None, :, None, None]
-    out = top[:, :, clo] * (1 - cf)[None, None, :, None] + top[:, :, chi] * cf[None, None, :, None]
-    return out
+    rf, cf = rf[:, None, None, None], cf[None, :, None, None]
+    top = np.take(src, rlo, axis=0) * (1 - rf) + np.take(src, rhi, axis=0) * rf
+    out = np.take(top, clo, axis=1) * (1 - cf) + np.take(top, chi, axis=1) * cf
+    return out.transpose(3, 0, 1, 2)
 
 
 def materialize_view(frames: np.ndarray, view: View, method: str = "bilinear") -> np.ndarray:
     """Apply a View to float [T,H,W,C] frames -> clip [T_view, C, size, size].
 
-    Only the crop window of each frame is resized.
+    Only the crop window of each frame is resized. The clip may be a view of
+    `frames` or of the resized window, in their memory order; T stays
+    innermost for T-innermost frames, so copying it into a batch row moves
+    runs of T values.
     """
     x, y, size = view.crop
     h, w = _scaled_size(*frames.shape[1:3], view.scale)
@@ -130,7 +158,8 @@ def materialize_view(frames: np.ndarray, view: View, method: str = "bilinear") -
     y = min(y, h - size)
     if x < 0 or y < 0:
         raise ValueError(f"crop {view.crop} does not fit scaled frame {h}x{w}")
-    clip = resize_frames(frames[list(view.frame_indices)], view.scale, method, window=(x, y, size))
+    clip = resize_frames(pick_frames(frames, view.frame_indices), view.scale, method,
+                         window=(x, y, size))
     if view.flip:
         clip = clip[:, :, ::-1, :]
-    return np.ascontiguousarray(clip.transpose(0, 3, 1, 2))
+    return clip.transpose(0, 3, 1, 2)

@@ -45,6 +45,21 @@ def _cases(data: bytes, seed: int):
         yield f"token {data[start:stop]!r} -> {mangle!r}", data[:start] + mangle + data[stop:]
 
 
+def _int(tok: str) -> int:
+    """Reference number tokens: ASCII decimal digits, and for floats a sign,
+    a point and an exponent (or inf/nan, which the readers then refuse)."""
+    if not re.fullmatch(r"[0-9]+", tok):
+        raise ValueError(tok)
+    return int(tok)
+
+
+def _float(tok: str) -> float:
+    if not re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?", tok) \
+            and tok.lstrip("+-").lower() not in ("inf", "infinity", "nan"):
+        raise ValueError(tok)
+    return float(tok)
+
+
 def _lines(data: bytes):
     """Reference reading: (line number, stripped text); None if not UTF-8."""
     try:
@@ -64,8 +79,8 @@ def _reference_manifest(data: bytes):
         if len(parts) != 3:
             return None
         try:
-            count = int(parts[1])
-            labels = tuple(int(tok) for tok in parts[2].split(",") if tok != "")
+            count = _int(parts[1])
+            labels = tuple(_int(tok) for tok in parts[2].split(",") if tok != "")
         except ValueError:
             return None
         if count < 1:
@@ -83,7 +98,7 @@ def _reference_predictions(data: bytes):
             continue
         parts = line.split(",")
         try:
-            row = [float(tok) for tok in parts[1:]]
+            row = [_float(tok) for tok in parts[1:]]
         except ValueError:
             return None
         if (not row or (rows and len(row) != len(rows[0])) or parts[0] in ids
@@ -108,9 +123,9 @@ def _reference_config(data: bytes):
             return None
         try:
             if SCHEMA[key] == "int":
-                values[key] = int(text)
+                values[key] = _int(text)
             elif SCHEMA[key] == "float":
-                values[key] = float(text)
+                values[key] = _float(text)
                 if not math.isfinite(values[key]):
                     return None
             elif SCHEMA[key] == "bool":
@@ -119,7 +134,7 @@ def _reference_config(data: bytes):
                     return None
                 values[key] = low in ("1", "true", "yes", "on")
             elif SCHEMA[key] == "tuple[int, ...]":
-                values[key] = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+                values[key] = tuple(_int(tok.strip()) for tok in text.split(",") if tok.strip() != "")
             else:
                 values[key] = text
         except ValueError:
@@ -225,4 +240,37 @@ def test_config_validation_error_names_the_lines(tmp_path, text, line):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: "):
+        build_config(path)
+
+
+# Tokens int() and float() take but that are no plain ASCII decimal: an
+# underscore, a fullwidth digit, an underscore inside a float.
+LOOSE = ["1_6", "\uff11", "1_0e-3"]
+
+
+@pytest.mark.parametrize("token", LOOSE)
+@pytest.mark.parametrize("field", ["count", "label"])
+def test_manifest_refuses_loose_number_tokens(tmp_path, token, field):
+    path = tmp_path / "loose.tsv"
+    row = f"a.xvid\t{token}\t0" if field == "count" else f"a.xvid\t16\t0,{token}"
+    path.write_text(f"b.xvid\t16\t1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(token)}"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("token", LOOSE)
+def test_predictions_refuse_loose_number_tokens(tmp_path, token):
+    path = tmp_path / "loose.csv"
+    path.write_text(f"a,0.5,0.25\nb,0.5,{token}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: {re.escape(repr(token))}"):
+        read_predictions(path)
+
+
+@pytest.mark.parametrize("token", LOOSE)
+@pytest.mark.parametrize("key", ["seed", "lr", "scales"])
+def test_config_refuses_loose_number_tokens(tmp_path, token, key):
+    path = tmp_path / "loose.cfg"
+    value = f"32,{token}" if key == "scales" else token
+    path.write_text(f"crop = 32\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(repr(token))}"):
         build_config(path)

@@ -70,7 +70,7 @@ def test_dense_forward_chunk_does_not_change_the_bits(tmp_path, monkeypatch):
 
 def test_dense_resizes_once_per_scale_and_forwards_distinct_views(tmp_path, monkeypatch):
     cfg, data, mcfg, params = _setup(tmp_path, 16, "tin", "strided")
-    calls = {"resize": [], "inside_view": 0, "rows": 0}
+    calls = {"resize": [], "inside_view": 0, "rows": 0, "copied": 0}
     real_resize, real_view = videofile.resize_frames, evaluate.materialize_view
     real_forward = evaluate.backbone_forward
 
@@ -83,9 +83,12 @@ def test_dense_resizes_once_per_scale_and_forwards_distinct_views(tmp_path, monk
     def view(frames, v, method="bilinear"):
         calls["inside_view"] += 1
         try:
-            return real_view(frames, v, method)
+            clip = real_view(frames, v, method)
         finally:
             calls["inside_view"] -= 1
+        # a view is cut out of its scale's frames; the batch row is its only copy
+        calls["copied"] += not np.shares_memory(clip, frames)
+        return clip
 
     def forward(clip, *args, **kwargs):
         calls["rows"] += clip.shape[0]
@@ -101,6 +104,7 @@ def test_dense_resizes_once_per_scale_and_forwards_distinct_views(tmp_path, monk
     view_resizes = [c for c in calls["resize"] if c[0]]
     assert len(video_resizes) == len(cfg.scales) * videos == 3 * videos
     assert len(view_resizes) == 7 * videos and all(unchanged for _, unchanged in view_resizes)
+    assert calls["copied"] == 0
     assert calls["rows"] == 7 * videos
 
 

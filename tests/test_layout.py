@@ -11,6 +11,7 @@ To print it for the code at hand:
 import hashlib
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,52 @@ def test_assembled_clips_give_the_logits_of_their_c_order_copy(data_root, mode):
         assert not is_batch_innermost(c_order)
         got = backbone_forward(clips, params, mcfg)
         assert got.tobytes() == backbone_forward(c_order, params, mcfg).tobytes(), name
+
+
+def test_training_refills_one_batch_buffer_once_the_step_has_dropped_it(data_root, monkeypatch):
+    class Cache(dict):  # a dict that a weak reference can watch
+        pass
+
+    real_build, real_forward = train._build_batch, train.backbone_forward
+    buffers, caches = [], []
+
+    def holds(obj, clips):
+        if isinstance(obj, dict):
+            return any(holds(v, clips) for v in obj.values())
+        if isinstance(obj, (tuple, list)):
+            return any(holds(v, clips) for v in obj)
+        return isinstance(obj, np.ndarray) and np.shares_memory(obj, clips)
+
+    def build(cfg, data, spec, iteration, clips=None):
+        # the last step's forward cache, the only other reader of the clips,
+        # has dropped them before they are refilled
+        last = caches[-1]() if caches else None
+        assert last is None or not holds(last, clips), iteration
+        out = real_build(cfg, data, spec, iteration, clips)
+        buffers.append(out[0])
+        return out
+
+    def forward(*args, **kwargs):
+        logits, cache = real_forward(*args, **kwargs)
+        cache = Cache(cache)
+        caches.append(weakref.ref(cache))
+        return logits, cache
+
+    def fresh(cfg, data, spec, iteration, clips=None):
+        return real_build(cfg, data, spec, iteration)
+
+    ckpts = []
+    for name, builder in (("reused", build), ("fresh", fresh)):
+        cfg = _run_config(data_root, "tin", out_dir=str(data_root / name), max_iters=5, batch=4,
+                          warmup_iters=2, eval_interval=5, checkpoint_interval=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(train, "_build_batch", builder)
+            patch.setattr(train, "backbone_forward", forward)
+            ckpts.append(train.run_training(cfg).read_bytes())
+        if name == "reused":
+            assert len(buffers) == 5 and all(b is buffers[0] for b in buffers)
+            assert is_batch_innermost(buffers[0])
+    assert ckpts[0] == ckpts[1]
 
 
 def test_prediction_files_and_checkpoint_are_bit_identical(data_root):
