@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -86,11 +87,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    start = time.perf_counter()
     results = run_op_suite(args.cases) if args.scope == "ops" else run_model_suite(args.cases)
+    seconds = time.perf_counter() - start
     failed = False
     for res in results:
         print(res.line())
         failed = failed or not res.ok
+    print(f"wall_seconds={seconds:.3f}")
     return EXIT_GRADCHECK if failed else EXIT_OK
 
 

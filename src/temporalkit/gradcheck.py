@@ -7,6 +7,17 @@ that are themselves near zero. Step size h = 1e-5 on float64 throughout.
 
 Random inputs are drawn away from the operators' kinks: relu pre-activations
 off zero, interlace offsets off integers, hinge margins off the boundary.
+
+The two whole-network checks (every parameter of the micro-model, and the
+offset net's feature map and weights) take their FD gradients from
+fd_gradients. When the process may use more than one CPU (ops' lane rule)
+and os.fork exists, it splits the arrays into two halves of about equal
+coordinate count, largest first, and a forked child computes one half while
+this process computes the other. Each value is the same evaluation of the
+same f on a copy-on-write copy of the same arrays, so the results keep the
+bits of the serial loop. If the child fails, this process computes its half
+itself. With one CPU or no fork, it is the serial loop. The per-op checks
+call fd_gradient directly: at 0.2-7 ms a case, a fork would not pay.
 """
 
 from __future__ import annotations
@@ -72,13 +83,87 @@ def fd_gradient(f, x, h: float = H) -> np.ndarray:
     g = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         old = x[idx]
-        x[idx] = old + h
-        fp = f(x)
-        x[idx] = old - h
-        fm = f(x)
-        x[idx] = old
+        try:
+            x[idx] = old + h
+            fp = f(x)
+            x[idx] = old - h
+            fm = f(x)
+        finally:
+            x[idx] = old
         g[idx] = (fp - fm) / (2.0 * h)
     return g
+
+
+def _halves(sizes) -> tuple[list[int], list[int]]:
+    """Job indices split into two halves of about equal total size, the
+    largest assigned first. The first half is the parent's."""
+    halves, loads = ([], []), [0, 0]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        side = 0 if loads[0] <= loads[1] else 1
+        halves[side].append(i)
+        loads[side] += sizes[i]
+    return halves
+
+
+def fd_gradients(jobs, h: float = H) -> list[np.ndarray]:
+    """[fd_gradient(f, x, h) for f, x in jobs], bit for bit, with a forked
+    child computing about half of the coordinates when this process may use
+    more than one CPU (see the module docstring).
+
+    The child sends its gradients back through a pipe as float64 bytes. If it
+    fails or its bytes are short, this process computes its jobs too, so an
+    exception in f surfaces here with its usual traceback. If this process's
+    own half raises, the child is killed and reaped first.
+    """
+    # imported here, as signal is below, so that importing this module (the
+    # set-up time of a gradcheck run) loads nothing beyond numpy and the package
+    import os
+
+    jobs = [(f, np.asarray(x, dtype=np.float64)) for f, x in jobs]
+    mine, theirs = _halves([x.size for _, x in jobs])
+    if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
+        return [fd_gradient(f, x, h) for f, x in jobs]
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the serial loop
+        os.close(read_end)
+        os.close(write_end)
+        return [fd_gradient(f, x, h) for f, x in jobs]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            data = b"".join(fd_gradient(*jobs[i], h).tobytes() for i in theirs)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    out = [None] * len(jobs)
+    try:
+        for i in mine:
+            out[i] = fd_gradient(*jobs[i], h)
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read_end)
+        raise
+    with os.fdopen(read_end, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    sizes = [jobs[i][1].size for i in theirs]
+    if status != 0 or len(data) != 8 * sum(sizes):
+        for i in theirs:
+            out[i] = fd_gradient(*jobs[i], h)
+        return out
+    flat = np.frombuffer(bytearray(data), dtype=np.float64)
+    for i, part in zip(theirs, np.split(flat, np.cumsum(sizes)[:-1])):
+        out[i] = part.reshape(jobs[i][1].shape)
+    return out
 
 
 def _away_from_zero(arr, eps=2e-2):
@@ -267,12 +352,12 @@ def check_offset_net(seed: int) -> float:
 
     params.zero_grads()
     g_feat = offset_weight_net_backward(r_off, r_wts, cache, params, cfg, prefix)
-    err = scaled_error(g_feat, fd_gradient(loss, feat))
-    for name in params.names():
-        if ".tin." not in name:
-            continue
-        w = params.values[name]
-        num = fd_gradient(lambda _v, nm=name: loss(feat), w)  # w mutated in place by fd
+    names = [name for name in params.names() if ".tin." in name]
+    # each weight is perturbed in place, where loss reads it through params
+    nums = fd_gradients([(loss, feat)] + [(lambda _v: loss(feat), params.values[name])
+                                          for name in names])
+    err = scaled_error(g_feat, nums[0])
+    for name, num in zip(names, nums[1:]):
         err = max(err, scaled_error(params.grads[name], num))
     return err
 
@@ -335,10 +420,11 @@ def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     _, g_logits = losses.bce_scaled(logits, targets, lcfg)
     params.zero_grads()
     backbone_backward(g_logits, cache, params, cfg)
+    names = params.names()
+    nums = fd_gradients([(lambda _v: _model_loss(params, cfg, clip, targets, lcfg),
+                          params.values[name]) for name in names])
     err = 0.0
-    for name in params.names():
-        num = fd_gradient(lambda _v: _model_loss(params, cfg, clip, targets, lcfg),
-                          params.values[name])
+    for name, num in zip(names, nums):
         err = max(err, scaled_error(params.grads[name], num))
     return err
 

@@ -101,8 +101,12 @@ HEAP_THRESHOLDS_PINNED = _pin_heap_thresholds()
 # ---------------------------------------------------------------------------
 
 def _lane_cpus() -> bool:
-    """True when this process may run on more than one CPU: it has a lane."""
-    return len(os.sched_getaffinity(0)) > 1
+    """True when this process may run on more than one CPU: it has a lane.
+    Where the affinity mask cannot be read (macOS, Windows), the machine's
+    CPU count stands in for it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 def _pin_blas_threads() -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import decimal_int, text_lines
+from .checkpoint import text_lines
 from .videofile import write_video
 
 CLASS_NAMES = ("right", "left", "down", "up", "grows", "shrinks")
@@ -104,12 +104,14 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
         name, count, labels = parts
-        try:
-            frames = decimal_int(count)
-            label_ids = tuple(decimal_int(tok) for tok in labels.split(",") if tok != "")
-        except ValueError:
+        # decimal_int's rule, [0-9]+ per token, checked once per field
+        digits = labels.replace(",", "")
+        if not (count.isascii() and count.isdigit()
+                and digits.isascii() and (digits.isdigit() or not digits)):
             raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
-                             f"got {count!r} and {labels!r}") from None
+                             f"got {count!r} and {labels!r}")
+        frames = int(count)
+        label_ids = tuple(map(int, filter(None, labels.split(","))))
         if frames < 1:
             raise ValueError(f"{path}:{lineno}: frame count must be >= 1")
         rows.append((name, frames, label_ids))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 import temporalkit.gradcheck as gc
+from temporalkit import ops
 from temporalkit.cli import main
 
 
@@ -38,6 +45,7 @@ def test_cli_gradcheck_exit_codes(monkeypatch, capsys):
     assert main(["gradcheck", "--scope", "ops", "--cases", "2"]) == 0
     out = capsys.readouterr().out
     assert "interlace" in out and "ok" in out
+    assert out.splitlines()[-1].startswith("wall_seconds=")
 
     monkeypatch.setitem(gc.OP_CHECKS, "interlace", lambda seed: 1.0)
     assert main(["gradcheck", "--scope", "ops", "--cases", "1"]) == 3
@@ -55,3 +63,144 @@ def test_offset_net_cases_stay_off_the_relu_kink():
     # these base seeds once drew a trunk pre-activation within H of zero
     for seed in (1855, 2174, 2756):
         assert gc.check_offset_net(seed) < gc.RTOL, seed
+
+
+def test_fd_gradient_restores_x_when_f_raises():
+    cfg, params, clip, targets, lcfg = gc._micro_model("tin", 7, channels=(2, 3))
+    w = params.values["block0.tin.offs.weight"]
+    before = w.copy()
+    calls = []
+
+    def loss(_v):
+        calls.append(1)
+        if len(calls) == 4:  # the second coordinate's minus step
+            raise RuntimeError("f failed")
+        return gc._model_loss(params, cfg, clip, targets, lcfg)
+
+    with pytest.raises(RuntimeError, match="f failed"):
+        gc.fd_gradient(loss, w)
+    assert params.values["block0.tin.offs.weight"].tobytes() == before.tobytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """fd_gradients takes its forked path on any host; yields the fork count."""
+    count = []
+    real = os.fork
+
+    def counted():
+        count.append(1)
+        return real()
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: True)
+    monkeypatch.setattr(os, "fork", counted)
+    yield count
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _jobs(count):
+    """Seven jobs of different sizes: three read x through a ParamStore alias,
+    four read only the array fd_gradient passes them."""
+    cfg, params, clip, targets, lcfg = gc._micro_model("tin", 7, channels=(2, 3))
+    rng = np.random.default_rng(3)
+
+    def model_loss(_v):
+        return gc._model_loss(params, cfg, clip, targets, lcfg)
+
+    def cubic(v):
+        return float((v ** 3).sum() + v.sum() ** 2)
+
+    jobs = [(model_loss, params.values["block0.tin.offs.weight"]),
+            (cubic, rng.normal(size=(3, 4))),
+            (model_loss, params.values["head.bias"]),
+            (cubic, rng.normal(size=5)),
+            (lambda v: float(np.sin(v).sum()), rng.normal(size=(2, 2))),
+            (model_loss, params.values["block1.tin.wts.bias"]),
+            (lambda v: float(np.tanh(v).prod()), rng.normal(size=(2, 3, 2)))]
+    return jobs[:count]
+
+
+def _bytes(grads):
+    return [g.tobytes() for g in grads]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_fd_gradients_equal_the_serial_loop(count, forks):
+    jobs = _jobs(count)
+    want = _bytes(gc.fd_gradient(f, x) for f, x in jobs)
+    before = _bytes(x for _, x in jobs)
+    assert _bytes(gc.fd_gradients(jobs)) == want
+    assert _bytes(x for _, x in jobs) == before
+    assert len(forks) == (count > 1)
+
+
+def test_child_failure_is_recomputed_by_the_parent(forks):
+    jobs = _jobs(7)
+    want = _bytes(gc.fd_gradient(f, x) for f, x in jobs)
+    parent = os.getpid()
+
+    def only_here(f):
+        def g(v):
+            if os.getpid() != parent:
+                raise RuntimeError("child failed")
+            return f(v)
+        return g
+
+    assert _bytes(gc.fd_gradients([(only_here(f), x) for f, x in jobs])) == want
+    assert len(forks) == 1
+
+
+def test_fd_gradients_raises_what_f_raises(forks):
+    jobs = _jobs(7)
+    mine, theirs = gc._halves([x.size for _, x in jobs])
+
+    def fails(v):
+        raise ValueError("bad f")
+
+    for half in (mine, theirs):  # raised in the parent's own half, or again for the child's
+        bad = [(fails, x) if i in half else (f, x) for i, (f, x) in enumerate(jobs)]
+        with pytest.raises(ValueError, match="bad f"):
+            gc.fd_gradients(bad)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    jobs = _jobs(7)
+    want = _bytes(gc.fd_gradient(f, x) for f, x in jobs)
+    assert _bytes(gc.fd_gradients(jobs)) == want
+
+
+def test_sign_error_on_the_childs_half_is_caught(forks, monkeypatch):
+    _, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
+    names = params.names()
+    _, theirs = gc._halves([params.values[n].size for n in names])
+    name = "block0.tin.offs.weight"
+    assert names.index(name) in theirs
+    real = gc.backbone_backward
+
+    def flipped(g_logits, cache, params, cfg, **kwargs):
+        out = real(g_logits, cache, params, cfg, **kwargs)
+        params.grads[name] *= -1.0
+        return out
+
+    assert gc.check_model_all_params("tin") < gc.RTOL
+    monkeypatch.setattr(gc, "backbone_backward", flipped)
+    assert gc.check_model_all_params("tin") > gc.RTOL
+    assert len(forks) == 2
+
+
+def test_gradcheck_import_starts_no_process_machinery():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import temporalkit.gradcheck; "
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'subprocess'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -311,3 +311,21 @@ def test_blas_threads_are_pinned_only_when_the_environment_sets_none(env, want):
                          capture_output=True, text=True, timeout=60, check=True,
                          env={**base, **env, "PYTHONPATH": src})
     assert out.stdout.split() == want.split()
+
+
+_NO_AFFINITY = """
+import os
+del os.sched_getaffinity  # as on macOS and Windows
+from temporalkit import gradcheck, ops
+print(ops._lane_cpus(), (os.cpu_count() or 1) > 1)
+"""
+
+
+def test_ops_and_gradcheck_import_without_an_affinity_mask():
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _NO_AFFINITY], capture_output=True, text=True,
+                         timeout=60, check=True, env={**base, "PYTHONPATH": src})
+    got, want = out.stdout.split()
+    assert got == want
