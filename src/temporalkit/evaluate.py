@@ -32,10 +32,11 @@ _FORWARD_CHUNK = 8
 def _cut_clips(frames, views) -> np.ndarray:
     """[N,T,C,H,W] clips of `views`, resizing the frames they use once per scale.
 
-    The frames the views use are gathered once, T innermost (see
-    `videofile`), and resized once per scale. Each view's crop and flip is
-    then a view of its scale's resized frames, copied in one pass into its
-    row of a batch-innermost array (see `ops`) as runs of T values.
+    The frames the views use are picked once, as float64 and T innermost
+    (see `videofile`: u8 frames are converted there), and resized once per
+    scale. Each view's crop and flip is then a view of its scale's resized
+    frames, copied in one pass into its row of a batch-innermost array (see
+    `ops`) as runs of T values.
     resize_frames treats every frame on its own, so the clips carry the same
     bits as resizing view by view.
     """

@@ -66,6 +66,13 @@ class CheckResult:
         return f"{status} {self.name:<18} cases={self.cases:<4} max_scaled_err={self.max_error:.3e}"
 
 
+def _worst(errors) -> float:
+    """The largest of `errors`, NaN when any of them is NaN. (Python's max
+    keeps whichever argument it holds when it meets a NaN, so a NaN gradient
+    after the first could read as a pass.)"""
+    return float(np.max(list(errors)))
+
+
 def scaled_error(analytic, numeric) -> float:
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
@@ -191,10 +198,11 @@ def check_conv2d(seed: int) -> float:
     b = rng.normal(size=co)
     r = rng.normal(size=ops.conv2d(x, w, b, stride, pad).shape)
     gx, gw, gb = ops.conv2d_backward(r, x, w, stride, pad)
-    err = scaled_error(gx, fd_gradient(lambda v: float((ops.conv2d(v, w, b, stride, pad) * r).sum()), x))
-    err = max(err, scaled_error(gw, fd_gradient(lambda v: float((ops.conv2d(x, v, b, stride, pad) * r).sum()), w)))
-    err = max(err, scaled_error(gb, fd_gradient(lambda v: float((ops.conv2d(x, w, v, stride, pad) * r).sum()), b)))
-    return err
+    return _worst([
+        scaled_error(gx, fd_gradient(lambda v: float((ops.conv2d(v, w, b, stride, pad) * r).sum()), x)),
+        scaled_error(gw, fd_gradient(lambda v: float((ops.conv2d(x, v, b, stride, pad) * r).sum()), w)),
+        scaled_error(gb, fd_gradient(lambda v: float((ops.conv2d(x, w, v, stride, pad) * r).sum()), b)),
+    ])
 
 
 def check_linear(seed: int) -> float:
@@ -205,10 +213,11 @@ def check_linear(seed: int) -> float:
     b = rng.normal(size=k)
     r = rng.normal(size=(n, k))
     gx, gw, gb = ops.linear_backward(r, x, w)
-    err = scaled_error(gx, fd_gradient(lambda v: float((ops.linear(v, w, b) * r).sum()), x))
-    err = max(err, scaled_error(gw, fd_gradient(lambda v: float((ops.linear(x, v, b) * r).sum()), w)))
-    err = max(err, scaled_error(gb, fd_gradient(lambda v: float((ops.linear(x, w, v) * r).sum()), b)))
-    return err
+    return _worst([
+        scaled_error(gx, fd_gradient(lambda v: float((ops.linear(v, w, b) * r).sum()), x)),
+        scaled_error(gw, fd_gradient(lambda v: float((ops.linear(x, v, b) * r).sum()), w)),
+        scaled_error(gb, fd_gradient(lambda v: float((ops.linear(x, w, v) * r).sum()), b)),
+    ])
 
 
 def check_activation(seed: int) -> float:
@@ -258,10 +267,11 @@ def check_interlace(seed: int) -> float:
         p = InterlaceParams(off, wts, delta_max=delta)
         return float((interlace_forward(xx, groups, p) * r).sum())
 
-    err = scaled_error(gx, fd_gradient(lambda v: loss(offsets, weights, v), x))
-    err = max(err, scaled_error(go, fd_gradient(lambda v: loss(v, weights, x), offsets.copy())))
-    err = max(err, scaled_error(gw, fd_gradient(lambda v: loss(offsets, v, x), weights.copy())))
-    return err
+    return _worst([
+        scaled_error(gx, fd_gradient(lambda v: loss(offsets, weights, v), x)),
+        scaled_error(go, fd_gradient(lambda v: loss(v, weights, x), offsets.copy())),
+        scaled_error(gw, fd_gradient(lambda v: loss(offsets, v, x), weights.copy())),
+    ])
 
 
 def check_tsm(seed: int) -> float:
@@ -356,10 +366,8 @@ def check_offset_net(seed: int) -> float:
     # each weight is perturbed in place, where loss reads it through params
     nums = fd_gradients([(loss, feat)] + [(lambda _v: loss(feat), params.values[name])
                                           for name in names])
-    err = scaled_error(g_feat, nums[0])
-    for name, num in zip(names, nums[1:]):
-        err = max(err, scaled_error(params.grads[name], num))
-    return err
+    return _worst([scaled_error(g_feat, nums[0])]
+                 + [scaled_error(params.grads[name], num) for name, num in zip(names, nums[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +431,7 @@ def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     names = params.names()
     nums = fd_gradients([(lambda _v: _model_loss(params, cfg, clip, targets, lcfg),
                           params.values[name]) for name in names])
-    err = 0.0
-    for name, num in zip(names, nums):
-        err = max(err, scaled_error(params.grads[name], num))
-    return err
+    return _worst(scaled_error(params.grads[name], num) for name, num in zip(names, nums))
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +457,15 @@ OP_CHECKS = {
 def run_op_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
     results = []
     for name, fn in OP_CHECKS.items():
-        worst = max(fn(base_seed + i) for i in range(cases))
-        results.append(CheckResult(name, worst, cases))
+        err = _worst(fn(base_seed + i) for i in range(cases))
+        results.append(CheckResult(name, err, cases))
     return results
 
 
 def run_model_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
     results = []
     for mode in ("none", "tsm", "tin"):
-        worst = max(check_model_directional(base_seed + i, mode) for i in range(cases))
-        results.append(CheckResult(f"model[{mode}]", worst, cases))
+        err = _worst(check_model_directional(base_seed + i, mode) for i in range(cases))
+        results.append(CheckResult(f"model[{mode}]", err, cases))
     results.append(CheckResult("model[tin] full", check_model_all_params("tin"), 1))
     return results

@@ -38,7 +38,8 @@ def _iter_seed(seed: int, iteration: int, stream: int) -> list[int]:
 
 
 class Dataset:
-    """Manifest-backed video set, decoded once and cached in memory."""
+    """Manifest-backed video set, decoded once and cached in memory as the
+    files' u8 pixels (see `videofile`); views convert what they use."""
 
     def __init__(self, manifest_path, data_root, num_classes: int):
         self.rows = read_manifest(manifest_path)
@@ -46,8 +47,8 @@ class Dataset:
         self.labels = labels_to_matrix(self.rows, num_classes)
         self.ids = tuple(name for name, _, _ in self.rows)
         self._cache: dict[int, np.ndarray] = {}
-        first = self.frames(0)
-        self.in_channels = first.shape[3]
+        self.in_channels = None  # the first video's; every other must match it
+        self.in_channels = self.frames(0).shape[3]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -58,12 +59,16 @@ class Dataset:
     def frames(self, index: int) -> np.ndarray:
         got = self._cache.get(index)
         if got is None:
-            got = load_video(self.root / self.rows[index][0])
+            path = self.root / self.rows[index][0]
+            got = load_video(path)
             if got.shape[0] != self.rows[index][1]:
                 raise ValueError(
                     f"{self.rows[index][0]}: manifest says {self.rows[index][1]} frames, "
                     f"file has {got.shape[0]}"
                 )
+            if self.in_channels not in (None, got.shape[3]):
+                raise ValueError(f"{path}: {got.shape[3]} channels, "
+                                 f"the first video has {self.in_channels}")
             self._cache[index] = got
         return got
 

@@ -5,17 +5,25 @@ File layout (all integers little-endian u32):
     magic "XVID" | version | T | H | W | C | T*H*W*C pixel bytes (u8)
 
 Pixels are frame-major, each frame stored H rows by W columns by C channels.
-Loading maps u8 to float64 via /255. The format exists so that temporal
-reversal pairs can be compared byte for byte, with no codec in the way.
+The format exists so that temporal reversal pairs can be compared byte for
+byte, with no codec in the way.
+
+Pixel type: a decoded video keeps the file's u8 pixels, one byte a value,
+and that is what a dataset caches. `pick_frames` is the one place where they
+become float64 in [0,1], as `astype(np.float64) / 255.0`, and it converts
+only the frames a view or a dense plan uses. Everything after it (resizing,
+cropping, the batch) works on float64. Float frames are accepted wherever
+u8 ones are and pass through unconverted.
 
 Memory order: decoded frames have the shape [T,H,W,C] but are laid out as a
 C-contiguous (H,W,C,T) array, frame index innermost. Every clip is read by
 the convolutions batch-innermost, as (C,H,W,N,T) (see `ops`), so a pixel's
 T values sit next to each other at every stage: `load_video` moves T
-innermost once per video, `resize_frames` blends rows and columns of that
-order, and a view's crop window reaches its batch row as runs of T values.
-Any [T,H,W,C] array is accepted wherever frames are; frame-major input gives
-the same bits, only more slowly.
+innermost once per video, `pick_frames` converts runs of T values,
+`resize_frames` blends rows and columns of that order, and a view's crop
+window reaches its batch row as runs of T values. Any [T,H,W,C] array is
+accepted wherever frames are; frame-major input gives the same bits, only
+more slowly.
 """
 
 from __future__ import annotations
@@ -74,22 +82,31 @@ def read_video(path) -> np.ndarray:
 
 
 def load_video(path) -> np.ndarray:
-    """Frames as float64 in [0,1], shape [T,H,W,C], laid out T innermost."""
-    frames = read_video(path).transpose(1, 2, 3, 0).astype(np.float64, order="C")
-    frames /= 255.0
-    return frames.transpose(3, 0, 1, 2)
+    """The file's u8 frames, shape [T,H,W,C], laid out T innermost in one
+    buffer of T*H*W*C bytes."""
+    return np.ascontiguousarray(read_video(path).transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
 def pick_frames(frames: np.ndarray, indices) -> np.ndarray:
-    """frames[indices] for [T,H,W,C] frames, T innermost: a view when T is
+    """frames[indices] for [T,H,W,C] frames as float64, T innermost.
+
+    u8 frames become float64 in [0,1] here, only the picked ones, by
+    `astype(np.float64) / 255.0`. Float frames give a view when T is
     innermost in `frames` already and the indices step evenly forward, else
-    a gathered copy."""
+    a gathered copy.
+    """
     indices = list(indices)
     step = indices[1] - indices[0] if len(indices) > 1 else 1
     if frames.strides[0] == frames.itemsize and step > 0 \
             and all(b - a == step for a, b in zip(indices, indices[1:])):
-        return frames[indices[0] : indices[-1] + 1 : step]
-    return np.take(frames.transpose(1, 2, 3, 0), indices, axis=3).transpose(3, 0, 1, 2)
+        picked = frames[indices[0] : indices[-1] + 1 : step]
+    else:
+        picked = np.take(frames.transpose(1, 2, 3, 0), indices, axis=3).transpose(3, 0, 1, 2)
+    if picked.dtype != np.uint8:
+        return picked
+    unit = picked.transpose(1, 2, 3, 0).astype(np.float64, order="C")
+    unit /= 255.0
+    return unit.transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +162,11 @@ def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
 
 
 def materialize_view(frames: np.ndarray, view: View, method: str = "bilinear") -> np.ndarray:
-    """Apply a View to float [T,H,W,C] frames -> clip [T_view, C, size, size].
+    """Apply a View to u8 or float [T,H,W,C] frames -> float64 clip
+    [T_view, C, size, size].
 
-    Only the crop window of each frame is resized. The clip may be a view of
+    The view's frames come from `pick_frames`, so u8 frames are converted
+    there and only those. Only the crop window of each frame is resized. The clip may be a view of
     `frames` or of the resized window, in their memory order; T stays
     innermost for T-innermost frames, so copying it into a batch row moves
     runs of T values.

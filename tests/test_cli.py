@@ -1,6 +1,8 @@
 """End-to-end command tests on miniature datasets; each training run here is
 a few dozen iterations at most."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from temporalkit.checkpoint import load_checkpoint, unpack_training_state
 from temporalkit.cli import main
 from temporalkit.evaluate import read_predictions
 from temporalkit.metrics import map_eval
+from temporalkit.videofile import read_header, write_video
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +244,27 @@ class TestEvalAndPredictions:
     def test_incompatible_checkpoint_is_validation_error(self, dataset, trained, tmp_path):
         flags = self.eval_flags(dataset, trained, channels="4,8")
         assert main(flags) == 1
+
+
+def test_video_with_another_channel_count_is_named(dataset, trained, tmp_path, capsys):
+    # four validation videos, the second rewritten with 3 channels; a batch of
+    # four draws every one of them in training's first step
+    rows = (dataset / "val" / "manifest.tsv").read_text().splitlines()[:4]
+    for row in rows:
+        name = row.split("\t")[0]
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy(dataset / name, tmp_path / name)
+    bad = tmp_path / rows[1].split("\t")[0]
+    t, h, w, _ = read_header(bad)
+    write_video(bad, np.zeros((t, h, w, 3), dtype=np.uint8))
+    manifest = tmp_path / "mixed.tsv"
+    manifest.write_text("\n".join(rows) + "\n")
+    flags = train_flags(tmp_path, tmp_path / "out", batch=4, train_manifest=manifest,
+                        val_manifest=manifest)
+    for argv in (["train"] + flags, ["eval"] + flags + ["--checkpoint", str(trained)]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: 3 channels, the first video has 1\n", argv[0]
 
 
 class TestInspect:

@@ -13,6 +13,7 @@ from temporalkit.videofile import (
     VideoFormatError,
     load_video,
     materialize_view,
+    pick_frames,
     read_header,
     read_video,
     resize_frames,
@@ -29,12 +30,17 @@ class TestVideoFile:
         assert read_header(path) == (4, 6, 5, 2)
 
     def test_load_scales_to_unit_interval(self, tmp_path):
+        # loading keeps the u8 pixels; picking a view's frames scales them
         frames = np.full((2, 3, 3, 1), 255, dtype=np.uint8)
         path = tmp_path / "clip.xvid"
         write_video(path, frames)
         loaded = load_video(path)
-        assert loaded.dtype == np.float64
-        np.testing.assert_array_equal(loaded, np.ones((2, 3, 3, 1)))
+        assert loaded.dtype == np.uint8
+        np.testing.assert_array_equal(loaded, frames)
+        for indices in ([0, 1], [1, 0]):  # the slice and the gather path
+            picked = pick_frames(loaded, indices)
+            assert picked.dtype == np.float64
+            np.testing.assert_array_equal(picked, np.ones((2, 3, 3, 1)))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.xvid"

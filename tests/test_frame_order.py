@@ -1,12 +1,13 @@
 """Frames laid out T innermost: the view cutters give the bytes of the
 frame-major formulas.
 
-Decoded frames are [T,H,W,C] arrays whose memory is (H,W,C,T). Dense eval's
-`_cut_clips` and training's `_build_batch` resize and copy in that order.
-For seeded random views they must give, byte for byte, what
+Decoded frames are [T,H,W,C] u8 arrays whose memory is (H,W,C,T). Dense
+eval's `_cut_clips` and training's `_build_batch` convert, resize and copy
+in that order. For seeded random views they must give, byte for byte, what
 `materialize_view` gives one view at a time on C-ordered frames, and what
 the frame-major resize below (each frame resized whole, then cropped and
-flipped) gives.
+flipped) gives. On u8 frames they must give the bytes they give on the
+frames' float64 pixels /255.
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import pytest
 from temporalkit import evaluate, train, videofile
 from temporalkit.config import RunConfig, clip_spec_from_config
 from temporalkit.sampling import View, segment_indices, strided_clip_indices
+from temporalkit.synth import generate_dataset
 from temporalkit.videofile import load_video, materialize_view, resize_frames, write_video
 
 
@@ -173,6 +175,58 @@ def test_load_video_holds_one_t_innermost_copy(tmp_path):
     write_video(tmp_path / "v.xvid", raw)
     frames = load_video(tmp_path / "v.xvid")
     assert frames.shape == raw.shape and is_t_innermost(frames)
-    # the float frames are the only buffer: no decoded copy stays behind them
-    assert frames.base.flags.owndata and frames.base.nbytes == frames.nbytes
-    assert frames.tobytes() == (raw.astype(np.float64) / 255.0).tobytes()
+    # the u8 frames are the only buffer: no other decoded copy stays behind them
+    assert frames.dtype == np.uint8 and frames.tobytes() == raw.tobytes()
+    assert frames.base.flags.owndata and frames.base.nbytes == frames.nbytes == raw.nbytes
+    # a view's frames are the float64 pixels /255, T innermost
+    for indices in (range(5), [4, 0, 2, 2]):  # the slice and the gather path
+        picked = videofile.pick_frames(frames, indices)
+        assert is_t_innermost(picked)
+        assert picked.tobytes() == (raw[list(indices)].astype(np.float64) / 255.0).tobytes()
+    view = View((3, 1), scale=6, crop=(1, 0, 6), flip=True)  # no resize: the picked pixels
+    assert _bytes(materialize_view(frames, view)) == _bytes(
+        frame_major_view(raw.astype(np.float64) / 255.0, view))
+
+
+def _evenly_forward(indices):
+    steps = {b - a for a, b in zip(indices, indices[1:])}
+    return len(steps) <= 1 and min(steps, default=1) > 0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("kind,tau", SAMPLERS)
+@pytest.mark.parametrize("method", ["bilinear", "nearest"])
+def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau, method):
+    rng = np.random.default_rng([shape[0], shape[3], tau, len(kind), len(method)])
+    raw = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    u8, unit = t_innermost(raw), t_innermost(raw.astype(np.float64) / 255.0)
+    short = min(shape[1:3])
+    views = random_views(rng, shape[0], kind, 6, tau, (short, short + 4, short + 9), 28, 40)
+    views += [dataclasses.replace(views[0], frame_indices=tuple(range(0, 12, 2))),
+              dataclasses.replace(views[1], frame_indices=(shape[0] - 1, 0, 2, 2, 5, 1))]
+    # True: the slice path, False: the gather path
+    assert {_evenly_forward(v.frame_indices) for v in views} == {True, False}
+    assert {v.flip for v in views} == {True, False}
+    for v in views:
+        picked = videofile.pick_frames(u8, v.frame_indices)
+        assert picked.dtype == np.float64 and is_t_innermost(picked)
+        assert _bytes(picked) == _bytes(videofile.pick_frames(unit, v.frame_indices)), v
+        assert _bytes(materialize_view(u8, v, method)) == _bytes(
+            materialize_view(unit, v, method)), v
+    if method == "bilinear":
+        assert evaluate._cut_clips(u8, views).tobytes() == evaluate._cut_clips(unit, views).tobytes()
+
+
+def test_dataset_keeps_each_video_as_its_u8_bytes(tmp_path):
+    k, t, h, w = 4, 12, 32, 40
+    manifest = generate_dataset(tmp_path, k, t=t, h=h, w=w, seed=3)
+    data = train.Dataset(manifest, tmp_path, 6)
+    videos = [data.frames(i) for i in range(k)]
+    assert all(data.frames(i) is videos[i] for i in range(k))  # decoded once
+    buffers = {id(v.base): v.base for v in videos}
+    assert len(buffers) == k
+    for v in videos:
+        assert v.dtype == np.uint8 and v.shape == (t, h, w, 1) and is_t_innermost(v)
+        assert v.base.flags.owndata and v.base.base is None
+    assert sum(b.nbytes for b in buffers.values()) == k * t * h * w * 1
+

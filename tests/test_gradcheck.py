@@ -9,6 +9,7 @@ import pytest
 import temporalkit.gradcheck as gc
 from temporalkit import ops
 from temporalkit.cli import main
+from temporalkit.model import ParamStore
 
 
 def test_op_suite_passes_on_small_case_counts():
@@ -204,3 +205,55 @@ def test_gradcheck_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _nan_last(grads):
+    """A backward's gradients with NaN planted in the last one (the bias or
+    frame-weight gradient, folded after every other)."""
+    *head, last = grads
+    return (*head, np.full_like(last, np.nan))
+
+
+@pytest.mark.parametrize("check,module,attr,param", [
+    ("check_conv2d", ops, "conv2d_backward", None),
+    ("check_linear", ops, "linear_backward", None),
+    ("check_interlace", gc, "interlace_backward", None),
+    ("check_offset_net", gc, "offset_weight_net_backward", "block0.tin.wts.bias"),
+    ("check_model_all_params", gc, "backbone_backward", "head.bias"),
+])
+def test_nan_in_one_backward_gradient_fails_the_check(check, module, attr, param, monkeypatch):
+    real = getattr(module, attr)
+
+    def planted(*a, **kw):
+        out = real(*a, **kw)
+        if param is None:
+            return _nan_last(out)
+        params = next(x for x in a if isinstance(x, ParamStore))
+        params.grads[param][...] = np.nan
+        return out
+
+    monkeypatch.setattr(module, attr, planted)
+    fn = getattr(gc, check)
+    err = fn("tin") if check == "check_model_all_params" else fn(2)
+    assert np.isnan(err)
+    assert not gc.CheckResult(check, err, 1).ok
+
+
+def test_nan_in_a_later_case_fails_the_suite_and_the_command(monkeypatch, capsys):
+    def nan_at(bad_seed):
+        return lambda seed, *_: float("nan") if seed == bad_seed else 1e-9
+
+    monkeypatch.setattr(gc, "OP_CHECKS", {"linear": nan_at(-1), "interlace": nan_at(2)})
+    results = {r.name: r for r in gc.run_op_suite(cases=3)}
+    assert results["linear"].ok and results["linear"].max_error == 1e-9
+    assert np.isnan(results["interlace"].max_error) and not results["interlace"].ok
+    assert main(["gradcheck", "--scope", "ops", "--cases", "3"]) == 3
+    assert "FAIL interlace" in capsys.readouterr().out
+
+    monkeypatch.setattr(gc, "check_model_directional", lambda seed, mode: float("nan")
+                        if (seed, mode) == (1, "tsm") else 1e-9)
+    monkeypatch.setattr(gc, "check_model_all_params", lambda mode: 1e-9)
+    results = {r.name: r for r in gc.run_model_suite(cases=3)}
+    assert [r.ok for r in results.values()] == [True, False, True, True]
+    assert main(["gradcheck", "--scope", "model", "--cases", "3"]) == 3
+    assert "FAIL model[tsm]" in capsys.readouterr().out
