@@ -16,7 +16,9 @@ Forward/backward are hand-chained. Every conv and linear layer runs through
 `_conv`/`_linear`, whose backward adds the layer's own `.weight`/`.bias`
 gradients to the ParamStore, and every relu/tanh/sigmoid through the
 gradchecked `ops.activation`/`ops.activation_backward`.
-`backbone_forward(..., return_cache=True)` hands back what backward needs.
+`backbone_forward(..., return_cache=True)` hands back what backward needs,
+one entry per layer, and `backbone_backward` spends it: it pops each entry
+as it reads it, so a training step holds one step's activations at most.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ def _conv(x5, params: ParamStore, name: str, stride: int, pad: int, cache) -> np
 def _conv_backward(gy5, cache, params: ParamStore, name: str, input_grad: bool = True):
     """Input gradient of `_conv` (None without `input_grad`); its weight and
     bias gradients accumulate."""
-    x5, cols, stride, pad = cache[name]
+    x5, cols, stride, pad = cache.pop(name)
     gx4, gw, gb = ops.conv2d_backward(gy5.reshape((-1,) + gy5.shape[2:]),
                                       x5.reshape((-1,) + x5.shape[2:]),
                                       params[name + ".weight"], stride, pad, cols=cols,
@@ -265,7 +267,11 @@ def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
 
     Activations stay batch-innermost (see `ops`). Without `return_cache` no
     layer's context outlives the layer, so a conv's columns are freed as
-    soon as it has run.
+    soon as it has run. With it, the cache maps each layer to what its
+    backward reads and is spent by `backbone_backward`. The relu entry is
+    its output `r1` alone: `r1 > 0` exactly where its input `a1 > 0` (NaN
+    fails both), so backward passes `r1` as both of the relu's saved
+    tensors and `a1` is not kept.
     """
     x = as_f64(clip)
     if x.ndim != 5 or x.shape[1:] != (cfg.frames, cfg.in_channels, cfg.height, cfg.width):
@@ -286,10 +292,9 @@ def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
             xt = tsm_shift(x, ShiftSpec(cfg.fold))
         else:
             xt = x
-        a1 = _conv(xt, params, name + "conv1", 2, 1, cache)
-        r1 = ops.activation(a1, "relu")
+        r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
         if cache is not None:
-            cache[name + "relu1"] = (a1, r1)
+            cache[name + "relu1"] = r1
         a2 = _conv(r1, params, name + "conv2", 1, 1, cache)
         x = a2 + _conv(x, params, name + "skip", 2, 0, cache)
 
@@ -316,16 +321,22 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
     With `clip_grad=False` it returns None and the stem skips its input
     gradient; every parameter gradient is the same bits either way. Conv and
     interlace layers compute their parameter gradients on `ops`' second lane.
-    The stem's entry, the cache's only hold on the clip, is dropped at the
-    end, so the caller may refill the clip's array while the rest of the
-    cache is still alive.
+
+    Backward spends the cache: it pops each layer's entry as it reads it,
+    and the dict is empty on return. So a layer's columns and activations
+    are freed while the rest of the backward runs, between its gradient
+    allocations; nothing of the step outlives the call, and the caller may
+    refill the clip's array. The heap never frees a whole cache at once: a
+    free heap top over the 32 MiB trim threshold `ops` pins would be
+    trimmed, and the next step would fault it in again.
     """
-    n, t, c_last, hh, ww = cache["body_shape"]
+    n, t, c_last, hh, ww = cache.pop("body_shape")
     g_head_out = as_f64(g_logits)
     if cfg.head == "consensus":
         g_head_out = segment_consensus_backward(g_head_out, t).reshape(n * t, -1)
-    g_fd = _linear_backward(g_head_out, cache["fd"], params, "head")
-    g_feat = g_fd * cache["mask"] if cache["mask"] is not None else g_fd
+    g_fd = _linear_backward(g_head_out, cache.pop("fd"), params, "head")
+    mask = cache.pop("mask")
+    g_feat = g_fd * mask if mask is not None else g_fd
     if cfg.head == "pool":
         g_pooled = np.broadcast_to(g_feat[:, None, :] / t, (n, t, c_last))
     else:
@@ -336,21 +347,20 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
         name = f"block{i}."
         g_skip_in = _conv_backward(g_x, cache, params, name + "skip")
         g_r1 = _conv_backward(g_x, cache, params, name + "conv2")
-        g_a1 = ops.activation_backward(g_r1, *cache[name + "relu1"], "relu")
+        r1 = cache.pop(name + "relu1")  # stands in for a1: see backbone_forward
+        g_a1 = ops.activation_backward(g_r1, r1, r1, "relu")
         g_xt = _conv_backward(g_a1, cache, params, name + "conv1")
         if cfg.temporal_mode == "tin":
-            x_in, groups, iparams, ocache = cache[name + "tin"]
-            g_main, g_off, g_wts = interlace_backward(g_xt, x_in, groups, iparams)
-            g_net = offset_weight_net_backward(g_off, g_wts, ocache, params, cfg, name + "tin.")
-            g_x = g_main + g_net + g_skip_in
+            x_in, groups, iparams, ocache = cache.pop(name + "tin")
+            g_x, g_off, g_wts = interlace_backward(g_xt, x_in, groups, iparams)
+            g_x += offset_weight_net_backward(g_off, g_wts, ocache, params, cfg, name + "tin.")
         elif cfg.temporal_mode == "tsm":
-            g_x = tsm_shift_backward(g_xt, ShiftSpec(cfg.fold)) + g_skip_in
+            g_x = tsm_shift_backward(g_xt, ShiftSpec(cfg.fold))
         else:
-            g_x = g_xt + g_skip_in
+            g_x = g_xt
+        g_x += g_skip_in  # in place, in the order (main + net) + skip
 
-    g_clip = _conv_backward(g_x, cache, params, "stem", input_grad=clip_grad)
-    del cache["stem"]
-    return g_clip
+    return _conv_backward(g_x, cache, params, "stem", input_grad=clip_grad)
 
 
 def predict_clip(logits) -> np.ndarray:

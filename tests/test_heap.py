@@ -1,5 +1,6 @@
-"""The heap policy `ops` sets on import: a repeated eval forward takes its
-temporaries from the heap instead of faulting fresh pages in.
+"""The heap policy `ops` sets on import: a repeated eval forward, and a
+repeated training step, take their temporaries from the heap instead of
+faulting fresh pages in.
 
 Under glibc's default thresholds each repeated backbone_forward of 7-8
 16x32x32 clips made about 1,800-2,100 minor page faults, as its
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 
 from temporalkit import ops
-from temporalkit.model import ModelConfig, backbone_forward, init_params
+from temporalkit.model import ModelConfig, backbone_backward, backbone_forward, init_params
 
 MAX_FAULTS_PER_CALL = 16
 
@@ -48,7 +49,38 @@ def test_forward_split_onto_the_lane_does_not_fault_either(mode, clips, monkeypa
         _assert_few_faults_per_forward(mode, clips)
 
 
-def _assert_few_faults_per_forward(mode, clips):
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_repeated_training_step_does_not_fault_its_cache_in_again(mode):
+    # Backward spends the forward cache entry by entry, between its own
+    # gradient allocations. When the caller dropped the whole cache after
+    # backward instead, the ~29 MiB it freed at once left a free heap top
+    # that glibc trimmed, and every step faulted 7,000-8,300 pages back in.
+    # The median is taken because the heap may still grow once after the
+    # warm-up: the lane frees its buffers at times that vary from run to
+    # run, so a later step now and then finds no free chunk that fits (one
+    # step of 17-611 faults in 12 of 30 runs of the tin case, the main arena
+    # growing by as many pages). The trap costs every step.
+    cfg, params, clip = _model(mode, 8)
+    g_logits = np.random.default_rng(2).normal(size=(8, cfg.num_classes))
+
+    def step():
+        params.zero_grads()
+        _, cache = backbone_forward(clip, params, cfg, training=True, seed=3, return_cache=True)
+        backbone_backward(g_logits, cache, params, cfg, clip_grad=False)
+
+    step()  # warm-up: the heap grows to its size
+    first = {name: g.tobytes() for name, g in params.grads.items()}
+    step()
+    faults = []
+    for _ in range(8):
+        before = _minor_faults()
+        step()
+        faults.append(_minor_faults() - before)
+    assert np.median(faults) <= MAX_FAULTS_PER_CALL, faults
+    assert {name: g.tobytes() for name, g in params.grads.items()} == first
+
+
+def _model(mode, clips):
     if not ops.HEAP_THRESHOLDS_PINNED:
         pytest.skip("the C library has no mallopt, so the heap policy is not applied")
     cfg = ModelConfig(frames=16, in_channels=1, height=32, width=32, num_classes=8,
@@ -60,6 +92,11 @@ def _assert_few_faults_per_forward(mode, clips):
             params.values[name][...] = rng.normal(scale=0.5, size=params[name].shape)
     clip = rng.random((clips, 16, 1, 32, 32))
     _fill_blas_buffers(cfg)
+    return cfg, params, clip
+
+
+def _assert_few_faults_per_forward(mode, clips):
+    cfg, params, clip = _model(mode, clips)
     first = backbone_forward(clip, params, cfg)  # warm-up: the heap grows to its size
     faults = []
     for _ in range(4):

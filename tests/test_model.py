@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -264,6 +265,21 @@ class TestBackboneBackward:
                 num = (fp - fm) / (2 * h)
                 analytic = params.grads[name][idx]
                 assert scaled_error(np.array([analytic]), np.array([num])) < RTOL
+
+
+@pytest.mark.parametrize("head", ["pool", "consensus"])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_backward_spends_the_forward_cache(mode, head):
+    cfg = micro_config(mode, head=head, dropout=0.5)
+    params = init_params(cfg, seed=23)
+    randomize_tin_heads(params, 24)
+    clip = np.random.default_rng(25).normal(size=(2, 4, 1, 8, 8))
+    logits, cache = backbone_forward(clip, params, cfg, training=True, seed=26, return_cache=True)
+    # a conv entry is (input, columns, stride, pad); nothing else holds the columns
+    cols = weakref.ref(cache["block0.conv1"][1])
+    backbone_backward(np.ones_like(logits), cache, params, cfg, clip_grad=False)
+    assert list(cache) == []
+    assert cols() is None
 
 
 def test_backbone_runs_the_gradchecked_activations(monkeypatch):
