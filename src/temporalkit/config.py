@@ -94,9 +94,14 @@ class RunConfig:
                              ("weight_rule", WEIGHT_RULES), ("schedule", SCHEDULE_KINDS)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}", (key,))
-        for key in ("frames", "segments", "stride", "crop", "classes", "max_iters", "batch"):
+        for key in ("frames", "segments", "stride", "crop", "classes", "max_iters", "batch",
+                    "eval_interval", "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", (key,))
+        if not self.channels or min(self.channels) < 1:
+            raise ConfigError("channels must be one or more counts >= 1", ("channels",))
+        if self.delta_max < 0:
+            raise ConfigError("delta_max must be >= 0 (0 means frames/2)", ("delta_max",))
         if self.loss_scale <= 0 or self.lr <= 0:
             raise ConfigError("loss_scale and lr must be positive", ("loss_scale", "lr"))
         if not self.scales or self.crop > min(self.scales):

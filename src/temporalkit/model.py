@@ -67,7 +67,7 @@ class ModelConfig:
             raise ValueError(f"unknown temporal_mode {self.temporal_mode!r}")
         if self.head not in HEAD_MODES:
             raise ValueError(f"unknown head mode {self.head!r}")
-        if self.frames < 1 or self.num_classes < 1 or not self.channels:
+        if self.frames < 1 or self.num_classes < 1 or not self.channels or min(self.channels) < 1:
             raise ValueError("frames, num_classes and channels must be non-empty/positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0,1), got {self.dropout}")

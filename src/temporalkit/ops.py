@@ -14,17 +14,15 @@ values. conv2d and its backward, the spatial pool's backward and the
 temporal ops return batch-innermost arrays; elementwise ops keep the order
 they are given.
 
-Second lane: on a machine with more than one usable CPU, the backward passes
-of conv2d and interlacing compute their parameter gradients on one private
-worker thread while the calling thread computes the input gradient, and join
-it before they return. Their forwards split too: conv2d unfolds, multiplies
-and adds the bias for the second half of its output rows on the worker, and
-interlacing mixes its last channel group there, while the calling thread
-does the rest. The arithmetic is the same on either thread, so every result
-is bit-identical to the serial order; with one usable CPU, or for work too
-small to repay the hand-off (HANDOFF_MADDS, FORWARD_HANDOFF_MADDS), the op
-runs its serial statements inline. The worker only runs numpy on arrays it
-is handed.
+Second lane: conv2d's forward splits its output rows in two halves, and
+interlacing's forward sets its last channel group apart, by size alone
+(HANDOFF_MADDS, one threshold); both backwards set their parameter
+gradients apart from the input gradient. The lane decides only which thread
+runs the part set apart: one private worker thread, on a machine with more
+than one usable CPU, while the calling thread does the rest and joins it
+before the op returns; otherwise the calling thread runs it inline. Every
+result is the same bits with one CPU or two. The worker only runs numpy on
+arrays it is handed.
 
 BLAS thread policy: the lane takes the second CPU, so when this process may
 use more than one CPU and neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS
@@ -49,6 +47,7 @@ import ctypes
 import glob
 import os
 import threading
+from functools import partial
 
 import numpy as np
 
@@ -174,31 +173,26 @@ def empty_batch_innermost(shape, lead: int = 1) -> np.ndarray:
 # second lane
 # ---------------------------------------------------------------------------
 
-# A hand-off pays when the GEMM it moves has at least this many multiply-adds.
-# Measured on a 2-vCPU x86-64 host, OpenBLAS at 1 thread: submitting an empty
-# closure to the idle worker and joining it takes 17 us at the median and
-# 42 us at the 90th percentile. Weight-gradient GEMMs at the train-tin shapes
-# run 11-50 multiply-adds per ns, so that is the time of 0.5M-2M of them. In
-# a tin forward+backward at batch 8, 16x32x32, channels 8/16/32, every conv
-# and interlace backward of 2.36M multiply-adds or more was 40-410 us faster
-# on the lane, and every one of 1.05M or fewer was not (-5 to +96 us).
-HANDOFF_MADDS = 2_000_000
-
-# A forward split (conv2d_with_cols by output rows, interlace_forward by
-# channel group) pays when the GEMMs it splits add up to at least this many
-# multiply-adds. It is not HANDOFF_MADDS: a forward hands off half of its
-# unfold copy and GEMM, not a whole weight-gradient GEMM. Measured on a
-# 2-vCPU x86-64 host, OpenBLAS at 1 thread, timing whole eval
-# backbone_forward calls of 16x32x32 clips (channels 8/16/32) with the
-# threshold at 1M, 1.5M, 2M and 3M, alternating in one process: at 8 tsm
-# clips the forward took 1.66-2.69 ms serial, 13-26% less at 1M-2M and
-# 9-18% less at 3M; at 6 clips 17-18% less at 1M-1.5M; at 4 clips 6-12%
-# less in two of three runs and 3-8% more in one. At 2 clips (1.18M per
-# conv) a 1M threshold cost 15% and 1.5M nothing. Per call, conv splits of
-# 1.8M-4.7M multiply-adds were faster in 36 of 49 timings (by up to
-# 140 us), and most of 1.2M or fewer were slower (by 5-37 us);
-# interlacing's two groups at 8 clips of block 0 (4.2M) went 225 -> 136 us.
-FORWARD_HANDOFF_MADDS = 1_500_000
+# A hand-off pays when the work it moves has at least this many multiply-adds;
+# the same number decides, from size alone, whether conv2d's forward splits
+# its output rows. Measured on a 2-vCPU x86-64 host, OpenBLAS at 1 thread:
+# submitting an empty closure to the idle worker and joining it takes 17 us
+# at the median and 42 us at the 90th percentile, the time of 0.5M-2M
+# multiply-adds of the weight-gradient GEMMs at the train-tin shapes (11-50
+# per ns). Backward: in a tin forward+backward at batch 8, 16x32x32, channels
+# 8/16/32, every conv and interlace backward of 2.36M multiply-adds or more
+# was 40-410 us faster on the lane, and every one of 1.05M or fewer was not
+# (-5 to +96 us); 1.5M lies in that unmeasured gap. Forward, timing
+# whole eval backbone_forward calls of 16x32x32 clips with the threshold at
+# 1M, 1.5M, 2M and 3M, alternating in one process: at 8 tsm clips the
+# forward took 1.66-2.69 ms serial, 13-26% less at 1M-2M and 9-18% less at
+# 3M; at 6 clips 17-18% less at 1M-1.5M; at 4 clips 6-12% less in two of
+# three runs and 3-8% more in one. At 2 clips (1.18M per conv) a 1M
+# threshold cost 15% and 1.5M nothing. Per call, conv splits of 1.8M-4.7M
+# multiply-adds were faster in 36 of 49 timings (by up to 140 us), and most
+# of 1.2M or fewer were slower (by 5-37 us); interlacing's two groups at 8
+# clips of block 0 (4.2M) went 225 -> 136 us.
+HANDOFF_MADDS = 1_500_000
 
 
 _lane_lock = threading.Lock()
@@ -240,13 +234,6 @@ def on_lane(fn, madds: int):
         out = fn()
         return lambda: out
     return lane.submit(fn).result
-
-
-def forward_lane(madds: int):
-    """The lane a forward splits work of `madds` multiply-adds onto, or None
-    when that is below FORWARD_HANDOFF_MADDS or there is no lane; the forward
-    then runs its serial statements. What it submits obeys on_lane's rule."""
-    return _lane() if madds >= FORWARD_HANDOFF_MADDS else None
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +328,33 @@ def _check_conv_args(x, kernel, bias, stride, pad):
 def conv2d_with_cols(x, kernel, bias, stride: int = 1, pad: int = 0):
     """conv2d that also returns the unfolded columns for reuse in backward.
 
-    Above FORWARD_HANDOFF_MADDS the output rows are split in two halves, the
-    second on the second lane (see the module docstring); the outputs and
-    columns are the same bits either way.
+    With more than one output row and HANDOFF_MADDS multiply-adds or more,
+    the output rows are split in two halves (_conv_rows_split) by size
+    alone, so the outputs and columns are the same bits with one CPU or two.
     """
     x, kernel, bias = as_f64(x), as_f64(kernel), as_f64(bias)
     _check_conv_args(x, kernel, bias, stride, pad)
     n, _, h, w = x.shape
     co, _, kh, kw = kernel.shape
     ho, wo = _out_size(h, kh, stride, pad), _out_size(w, kw, stride, pad)
-    lane = forward_lane(kernel.size * ho * wo * n) if ho > 1 else None
-    if lane is None:
+    if ho > 1 and kernel.size * ho * wo * n >= HANDOFF_MADDS:
+        y, cols = _conv_rows_split(x, kernel, bias, stride, pad)
+    else:
         cols = _unfold(x.transpose(1, 2, 3, 0), kh, kw, stride, pad).reshape(-1, ho * wo * n)
         y = kernel.reshape(co, -1) @ cols
         y += bias[:, None]
-    else:
-        y, cols = _conv_rows_split(lane, x, kernel, bias, stride, pad)
     return y.reshape(co, ho, wo, n).transpose(3, 0, 1, 2), cols
 
 
-def _conv_rows_split(lane, x, kernel, bias, stride, pad):
+def _conv_rows_split(x, kernel, bias, stride, pad):
     """conv2d_with_cols's unfold, GEMM and bias add in two halves of output
-    rows, the second on `lane`: (y [Co, Ho*Wo*N], cols).
+    rows: (y [Co, Ho*Wo*N], cols). on_lane picks only the thread that runs
+    the second half, so its bits do not depend on the CPU count.
 
     Each half copies its rows of the window view into its columns of the
-    shared column buffer and runs its GEMM into its columns of the output,
-    so every value is computed by the same arithmetic as the unsplit op. The
-    padding copy, both buffers and every view the halves use are made here,
-    on the calling thread; the worker only runs numpy on them.
+    shared column buffer and runs its GEMM into its columns of the output.
+    The padding copy, both buffers and every view the halves use are made
+    here, on the calling thread.
     """
     co, _, kh, kw = kernel.shape
     view = _unfold(x.transpose(1, 2, 3, 0), kh, kw, stride, pad)
@@ -380,7 +366,7 @@ def _conv_rows_split(lane, x, kernel, bias, stride, pad):
     for rows in (slice(0, (ho + 1) // 2), slice((ho + 1) // 2, ho)):
         part = slice(rows.start * wo * b, rows.stop * wo * b)
         halves.append((cols6[:, :, :, rows], view[:, :, :, rows], cols[:, part], y[:, part]))
-    join = lane.submit(_conv_rows, wmat, bias_col, *halves[1]).result
+    join = on_lane(partial(_conv_rows, wmat, bias_col, *halves[1]), kernel.size * ho * wo * b)
     _conv_rows(wmat, bias_col, *halves[0])
     join()
     return y, cols
@@ -453,9 +439,6 @@ def linear_backward(gy, x, weight):
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
-
-ACTIVATION_KINDS = ("relu", "sigmoid", "tanh")
-
 
 def sigmoid(x) -> np.ndarray:
     # Stable on both tails: never exponentiates a large positive argument.

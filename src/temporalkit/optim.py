@@ -54,6 +54,8 @@ class Schedule:
                 raise ValueError(f"step factor must be in (0,1), got {self.factor}")
         if self.warmup_iters < 0:
             raise ValueError("warmup_iters must be >= 0")
+        if self.warmup_start_factor < 0:
+            raise ValueError(f"warmup_start_factor must be >= 0, got {self.warmup_start_factor}")
 
 
 def _base_lr_at(schedule: Schedule, cfg: SgdConfig, k: int) -> float:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .ops import ShapeError, as_f64, batch_last, forward_lane, on_lane
+from .ops import ShapeError, as_f64, batch_last, on_lane
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,9 @@ def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarr
     where x~ is x zero-padded outside the clip. Per sample and group that is
     one T x T frame-mixing matrix M = w * P (see `_mixing`) applied to every
     channel and pixel: y = x @ M.T over the frame axis, one batched GEMM per
-    group on the batch-innermost layout. Output shape equals input. When the
-    GEMMs reach `ops.FORWARD_HANDOFF_MADDS` multiply-adds in all, the last
-    group's runs on the second lane while this thread runs the others.
+    group on the batch-innermost layout. Output shape equals input. The last
+    group's GEMM goes to `ops.on_lane`, which may run it on the second lane
+    while this thread runs the others; the bits are the same either way.
     """
     x = as_f64(x)
     _check_interlace_shapes(x, groups, params)
@@ -182,18 +183,14 @@ def interlace_forward(x, groups: GroupSpec, params: InterlaceParams) -> np.ndarr
     mix = params.weights[:, :, :, None] * _mixing(params, t)[0]
     xm = batch_last(x, 2)
     ym = np.empty_like(xm)
-    # without a lane the loop below runs every group, as the serial op does
     last = groups.num_groups - 1
-    lane = forward_lane(xm.size * t) if last else None
-    if lane is not None:
-        c0, c1 = groups.ranges[last]
-        join = lane.submit(np.matmul, _per_sample(xm, c0, c1), mix[:, last].transpose(0, 2, 1),
-                           out=_per_sample(ym, c0, c1)).result
-    for g, (c0, c1) in enumerate(groups.ranges[:last] if lane else groups.ranges):
+    c0, c1 = groups.ranges[last]
+    join = on_lane(partial(np.matmul, _per_sample(xm, c0, c1), mix[:, last].transpose(0, 2, 1),
+                           out=_per_sample(ym, c0, c1)), xm.size * t if last else 0)
+    for g, (c0, c1) in enumerate(groups.ranges[:last]):
         np.matmul(_per_sample(xm, c0, c1), mix[:, g].transpose(0, 2, 1),
                   out=_per_sample(ym, c0, c1))
-    if lane is not None:
-        join()
+    join()
     return ym.transpose(3, 4, 0, 1, 2)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import temporalkit.gradcheck as gc
 from temporalkit.checkpoint import load_checkpoint, save_checkpoint, unpack_training_state
-from temporalkit.config import RunConfig
+from temporalkit.config import RunConfig, model_config_from_run
 from temporalkit.evaluate import evaluate_predictions
 from temporalkit.losses import LossConfig, bce_scaled
 from temporalkit.metrics import (
@@ -35,7 +35,7 @@ from temporalkit.temporal import (
     interlace_forward,
     tsm_shift,
 )
-from temporalkit.train import Dataset, load_params_for_eval, model_config_from_run, run_training
+from temporalkit.train import Dataset, load_params_for_eval, run_training
 
 from test_metrics import map_by_counting
 

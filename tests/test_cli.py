@@ -131,6 +131,7 @@ class TestTrain:
             monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
             assert main(["train"] + train_flags(dataset, tmp_path / "on", **flags)) == 0
         monkeypatch.setattr(ops, "_lane", lambda: None)
+        monkeypatch.setattr(ops, "HANDOFF_MADDS", 1 << 62)  # no split either: the unsplit ops
         assert main(["train"] + train_flags(dataset, tmp_path / "off", **flags)) == 0
         for name in ("checkpoint.xtck", "metrics.log"):
             assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
@@ -216,9 +217,9 @@ class TestEvalAndPredictions:
 
     def test_prediction_file_round_trip_precision(self, dataset, trained, tmp_path):
         # in-memory probabilities -> file -> parse must agree within 1e-9
-        from temporalkit.config import RunConfig
+        from temporalkit.config import RunConfig, model_config_from_run
         from temporalkit.evaluate import evaluate_predictions, write_predictions
-        from temporalkit.train import Dataset, load_params_for_eval, model_config_from_run
+        from temporalkit.train import Dataset, load_params_for_eval
 
         cfg = RunConfig(data_root=str(dataset),
                         train_manifest=str(dataset / "train" / "manifest.tsv"),

@@ -85,6 +85,7 @@ def test_data_root_env_fallback(monkeypatch):
 
 def test_delta_max_resolution():
     assert RunConfig(frames=10).resolved_delta_max == 5.0
+    assert RunConfig(frames=10, delta_max=0.0).resolved_delta_max == 5.0
     assert RunConfig(frames=10, delta_max=2.5).resolved_delta_max == 2.5
 
 

@@ -235,12 +235,21 @@ def test_mutated_configs_load_as_stated_or_fail_by_line(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("text,line", [("lr = 0.1\ncrop = 64\n", "2"),
                                        ("temporal_mode = tin\nloss_scale = -1\nlr = 0\n", "2,3"),
-                                       ("lr = nan\n", "1")])
-def test_config_validation_error_names_the_lines(tmp_path, text, line):
+                                       ("lr = nan\n", "1"),
+                                       ("lr = 0.1\nchannels = 8,0\n", "2"),
+                                       ("lr = 0.1\nchannels =\n", "2"),
+                                       ("lr = 0.1\neval_interval = 0\n", "2"),
+                                       ("checkpoint_interval = 0\n", "1"),
+                                       ("frames = 8\ndelta_max = -1\n", "2")])
+def test_config_validation_error_names_the_lines(tmp_path, capsys, text, line):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:{line}: "):
         build_config(path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1, err
 
 
 # Tokens int() and float() take but that are no plain ASCII decimal: an

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from temporalkit import evaluate, videofile
-from temporalkit.config import RunConfig
+from temporalkit.config import RunConfig, clip_spec_from_config, model_config_from_run
 from temporalkit.model import backbone_forward, init_params, predict_clip
 from temporalkit.sampling import dense_test_plan
 from temporalkit.synth import generate_dataset
-from temporalkit.train import Dataset, clip_spec_from_config, model_config_from_run
+from temporalkit.train import Dataset
 
 
 def _setup(root, frames, mode, sampler):

@@ -45,7 +45,7 @@ def test_forward_split_onto_the_lane_does_not_fault_either(mode, clips, monkeypa
     # every forward split goes to a worker, whose allocations count too
     with ThreadPoolExecutor(max_workers=1) as pool:
         monkeypatch.setattr(ops, "_lane", lambda: pool)
-        monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
+        monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
         _assert_few_faults_per_forward(mode, clips)
 
 

@@ -1,5 +1,6 @@
 """The second lane: forward halves and parameter gradients computed on a
-worker thread are the same bits as the serial order, the worker calls none of
+worker thread are the same bits as the unsplit ops, results do not depend on
+whether the process has a lane (one CPU or two), the worker calls none of
 the functions the benchmark's tracer wraps, and the lane adds at most one
 thread. OpenBLAS gets one thread only when the environment sets none."""
 
@@ -22,6 +23,7 @@ import pytest
 from temporalkit import evaluate, ops
 from temporalkit.model import ModelConfig, backbone_backward, backbone_forward, init_params
 from temporalkit.sampling import ClipSamplerSpec, dense_test_plan
+from temporalkit.synth import generate_dataset
 from temporalkit.temporal import GroupSpec, InterlaceParams, interlace_forward
 
 
@@ -44,12 +46,13 @@ def lane_on(monkeypatch):
     with CountingPool() as pool:
         monkeypatch.setattr(ops, "_lane", lambda: pool)
         monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
-        monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
         yield pool
 
 
 def _serial(monkeypatch):
+    """No lane, and no split: the unsplit op the lane is compared with."""
     monkeypatch.setattr(ops, "_lane", lambda: None)
+    monkeypatch.setattr(ops, "HANDOFF_MADDS", 1 << 62)
 
 
 def _model(mode, head):
@@ -149,7 +152,7 @@ def _run_cases():
             yield pytest.param(shape, size, marks=marks)
 
 
-@pytest.mark.parametrize("threshold", [ops.FORWARD_HANDOFF_MADDS, 0, 1 << 62])
+@pytest.mark.parametrize("threshold", [ops.HANDOFF_MADDS, 0, 1 << 62])
 @pytest.mark.parametrize("shape,size", list(_run_cases()))
 def test_forward_conv_is_batch_invariant(shape, size, threshold, monkeypatch):
     """Contiguous runs of `size` of 128 batch-innermost images, at the start,
@@ -162,7 +165,7 @@ def test_forward_conv_is_batch_invariant(shape, size, threshold, monkeypatch):
     kernel, bias = rng.normal(size=(co, c, k, k)), rng.normal(size=co)
     with CountingPool() as pool:
         monkeypatch.setattr(ops, "_lane", lambda: pool)
-        monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", threshold)
+        monkeypatch.setattr(ops, "HANDOFF_MADDS", threshold)
         full = ops.conv2d(x, kernel, bias, stride, pad)
         for lo in sorted({0, (128 - size) // 2, 128 - size, int(rng.integers(129 - size))}):
             part = ops.conv2d(x[lo : lo + size], kernel, bias, stride, pad)
@@ -182,6 +185,66 @@ def test_split_interlace_forward_is_bit_identical_to_unsplit(num_groups, lane_on
     assert lane_on.submitted == 1
     _serial(monkeypatch)
     assert y.tobytes() == interlace_forward(x, groups, params).tobytes()
+
+
+# tsm, 5 frames of 40x40, channels 16/32/64: conv shapes whose split halves
+# give other GEMM bits than the whole, so a split that depended on the CPU
+# count would show here
+_SCAN_CONFIG = dict(frames=5, in_channels=1, height=40, width=40, num_classes=6,
+                    temporal_mode="tsm", channels=(16, 32, 64))
+
+
+def _logits_and_gradients(clips):
+    cfg = ModelConfig(**_SCAN_CONFIG)
+    params = init_params(cfg, seed=1)
+    clip = np.random.default_rng(clips).random((clips, 5, 1, 40, 40))
+    logits, cache = backbone_forward(clip, params, cfg, training=True, seed=2, return_cache=True)
+    backbone_backward(np.ones_like(logits), cache, params, cfg)
+    return logits.tobytes(), {name: g.tobytes() for name, g in params.grads.items()}
+
+
+@pytest.mark.parametrize("clips", [1, 2, 3, 5, 7])
+def test_lane_at_its_threshold_changes_no_bit(clips, monkeypatch):
+    """At the real HANDOFF_MADDS, a process with a lane and one without give
+    the same logits and parameter gradients: the lane picks only the thread."""
+    with CountingPool() as pool:
+        monkeypatch.setattr(ops, "_lane", lambda: pool)
+        on = _logits_and_gradients(clips)
+        assert pool.submitted > 0
+    monkeypatch.setattr(ops, "_lane", lambda: None)
+    assert _logits_and_gradients(clips) == on
+
+
+_PINNED_TRAINING = """
+import os
+os.sched_setaffinity(0, {cpus!r})  # before numpy loads, as under taskset
+from temporalkit.config import RunConfig
+from temporalkit.train import run_training
+run_training(RunConfig(**{cfg!r}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than two CPUs")
+@pytest.mark.parametrize("batch", [5, 7])
+def test_one_cpu_and_two_write_the_same_checkpoint(batch, tmp_path):
+    """run_training in a child pinned to one CPU writes the bytes of a child
+    on two CPUs, which has the lane and pins OpenBLAS to one thread."""
+    generate_dataset(tmp_path / "data", 8, t=12, seed=4)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    written = []
+    for pinned in (cpus[:1], cpus):
+        out = tmp_path / f"cpus{len(pinned)}"
+        cfg = dict(sampler="segments", segments=5, crop=40, scales=(40,), scale_min=40,
+                   scale_max=48, channels=(16, 32, 64), batch=batch, max_iters=3,
+                   warmup_iters=1, seed=batch, data_root=str(tmp_path / "data"),
+                   train_manifest=str(tmp_path / "data" / "manifest.tsv"), out_dir=str(out))
+        subprocess.run([sys.executable, "-c", _PINNED_TRAINING.format(cpus=set(pinned), cfg=cfg)],
+                       timeout=300, check=True, env={**base, "PYTHONPATH": src})
+        written.append((out / "checkpoint.xtck").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_tiny_shapes_make_no_lane_submission(monkeypatch):
@@ -241,7 +304,6 @@ def test_conv_backward_without_input_grad(lane_on):
 
 def test_repeated_backward_adds_at_most_one_thread(monkeypatch):
     monkeypatch.setattr(ops, "HANDOFF_MADDS", 0)
-    monkeypatch.setattr(ops, "FORWARD_HANDOFF_MADDS", 0)
     before = threading.active_count()
     for _ in range(20):
         _gradients("tin", "pool")

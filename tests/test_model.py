@@ -66,6 +66,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="temporal_mode"):
             micro_config("trn")
 
+    @pytest.mark.parametrize("channels", [(4, 0), (-4,), ()])
+    def test_channel_counts_must_be_positive(self, channels):
+        with pytest.raises(ValueError, match="channels"):
+            micro_config(channels=channels)
+
 
 class TestInitParams:
     def test_heads_are_zero_initialized(self):

@@ -53,6 +53,13 @@ class TestWarmup:
         with pytest.raises(ValueError):
             lr_at(Schedule(kind="constant"), SgdConfig(base_lr=0.1), -1)
 
+    def test_negative_start_factor_rejected(self):
+        # it would step with a negative learning rate: -0.5 at step 0 here
+        with pytest.raises(ValueError, match="warmup_start_factor"):
+            Schedule(kind="constant", warmup_iters=10, warmup_start_factor=-5.0)
+        sch = Schedule(kind="constant", warmup_iters=10, warmup_start_factor=0.0)
+        assert lr_at(sch, SgdConfig(base_lr=0.1), 0) == 0.0
+
 
 class TestSgdStep:
     def _step(self, w, g, cfg, lr, velocity=None):
