@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .checkpoint import ITER_KEY, load_checkpoint, unpack_training_state
+from .checkpoint import ITER_KEY, decimal_float, load_checkpoint, unpack_training_state
 from .config import SCHEMA, ConfigError, build_config, model_config_from_run, parse_value
 from .evaluate import (
     evaluate_predictions,
@@ -102,7 +102,7 @@ def cmd_ensemble(args) -> int:
     preds = [read_predictions(p) for p in args.predictions]
     weights = None
     if args.weights:
-        weights = np.array([float(tok) for tok in args.weights.split(",")])
+        weights = np.array([decimal_float(tok.strip()) for tok in args.weights.split(",")])
     labels = _manifest_labels(args.manifest)
     for path, pm in zip(args.predictions, preds):
         aligned = labels_for_ids(labels, pm.ids)
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="average prediction files and score them")
     p.add_argument("--predictions", nargs="+", required=True)
-    p.add_argument("--weights", help="comma-separated, must sum to 1")
+    p.add_argument("--weights", help="comma-separated, finite, non-negative, must sum to 1")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ensemble)

@@ -45,7 +45,9 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(decimal_int(tok.strip()) for tok in text.split(",") if tok.strip() != "")
+    """Comma-separated decimal integers. An empty value is (); a blank entry
+    anywhere else ("8,,16", ",32,") is an error."""
+    return tuple(decimal_int(tok.strip()) for tok in text.split(",")) if text.strip() else ()
 
 
 @dataclass

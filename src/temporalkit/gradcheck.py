@@ -3,25 +3,38 @@
 The scaled error compares analytic and numeric gradients as
 |a - n| / max(|a|, |n|, atol/rtol), so a check passes when the gradient is
 within 1e-4 relative error, with an absolute floor of 1e-7 for gradients
-that are themselves near zero. Step size h = 1e-5 on float64 throughout.
+that are themselves near zero. Step size H = 1e-5 on float64 throughout.
 
 Random inputs are drawn away from the operators' kinks: relu pre-activations
 off zero, interlace offsets off integers, hinge margins off the boundary.
 
-The two whole-network checks (every parameter of the micro-model, and the
-offset net's feature map and weights) take their FD gradients from
-fd_gradients. When the process may use more than one CPU (ops' lane rule)
-and os.fork exists, it splits the arrays into two halves of about equal
-coordinate count, largest first, and a forked child computes one half while
-this process computes the other. Each value is the same evaluation of the
-same f on a copy-on-write copy of the same arrays, so the results keep the
-bits of the serial loop. If the child fails, this process computes its half
-itself. With one CPU or no fork, it is the serial loop. The per-op checks
-call fd_gradient directly: at 0.2-7 ms a case, a fork would not pay.
+Every check compares through one of two helpers, and the errors of a check
+fold through _worst, which keeps a NaN. Each FD loss reads its arrays in
+place, where fd_gradient perturbs them, so it ignores the array it is
+passed and may read it through any alias (a ParamStore holding it, say).
+
+- _vjp_error(f, args, grads, r) is the per-op comparison: one fd_gradient
+  per argument, in argument order, on the loss sum(f(*args) * r), or on
+  the scalar f(*args) itself for the losses.
+- _fd_errors(loss, pairs) is the whole-network comparison: the offset
+  net's feature map and weights, and every parameter of the micro-model,
+  as (analytic, array) pairs under one scalar loss. _model_grads is the
+  micro-model's one forward/loss/backward set-up.
+
+_fd_errors takes its FD gradients from fd_gradients. When the process may
+use more than one CPU (ops' lane rule) and os.fork exists, it splits the
+arrays into two halves of about equal coordinate count, largest first, and
+a forked child computes one half while this process computes the other.
+Each value is the same evaluation of the same f on a copy-on-write copy of
+the same arrays, so the results keep the bits of the serial loop. If the
+child fails, this process computes its half itself. With one CPU or no
+fork, it is the serial loop. The per-op checks call fd_gradient directly:
+at 0.2-7 ms a case, a fork would not pay.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +51,7 @@ from .model import (
 from .temporal import (
     GroupSpec,
     InterlaceParams,
+    ShiftSpec,
     interlace_backward,
     interlace_forward,
     segment_consensus,
@@ -80,8 +94,8 @@ def scaled_error(analytic, numeric) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def fd_gradient(f, x, h: float = H) -> np.ndarray:
-    """Full central-difference gradient of scalar f w.r.t. array x.
+def fd_gradient(f, x) -> np.ndarray:
+    """Full central-difference gradient of scalar f w.r.t. array x, step H.
 
     x is perturbed in place and restored between evaluations, so f may read
     it through any alias (e.g. a ParamStore holding the same array).
@@ -91,13 +105,13 @@ def fd_gradient(f, x, h: float = H) -> np.ndarray:
     for idx in np.ndindex(x.shape):
         old = x[idx]
         try:
-            x[idx] = old + h
+            x[idx] = old + H
             fp = f(x)
-            x[idx] = old - h
+            x[idx] = old - H
             fm = f(x)
         finally:
             x[idx] = old
-        g[idx] = (fp - fm) / (2.0 * h)
+        g[idx] = (fp - fm) / (2.0 * H)
     return g
 
 
@@ -112,8 +126,8 @@ def _halves(sizes) -> tuple[list[int], list[int]]:
     return halves
 
 
-def fd_gradients(jobs, h: float = H) -> list[np.ndarray]:
-    """[fd_gradient(f, x, h) for f, x in jobs], bit for bit, with a forked
+def fd_gradients(jobs) -> list[np.ndarray]:
+    """[fd_gradient(f, x) for f, x in jobs], bit for bit, with a forked
     child computing about half of the coordinates when this process may use
     more than one CPU (see the module docstring).
 
@@ -122,26 +136,22 @@ def fd_gradients(jobs, h: float = H) -> list[np.ndarray]:
     exception in f surfaces here with its usual traceback. If this process's
     own half raises, the child is killed and reaped first.
     """
-    # imported here, as signal is below, so that importing this module (the
-    # set-up time of a gradcheck run) loads nothing beyond numpy and the package
-    import os
-
     jobs = [(f, np.asarray(x, dtype=np.float64)) for f, x in jobs]
     mine, theirs = _halves([x.size for _, x in jobs])
     if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
-        return [fd_gradient(f, x, h) for f, x in jobs]
+        return [fd_gradient(f, x) for f, x in jobs]
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the serial loop
         os.close(read_end)
         os.close(write_end)
-        return [fd_gradient(f, x, h) for f, x in jobs]
+        return [fd_gradient(f, x) for f, x in jobs]
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = b"".join(fd_gradient(*jobs[i], h).tobytes() for i in theirs)
+            data = b"".join(fd_gradient(*jobs[i]).tobytes() for i in theirs)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -151,8 +161,10 @@ def fd_gradients(jobs, h: float = H) -> list[np.ndarray]:
     out = [None] * len(jobs)
     try:
         for i in mine:
-            out[i] = fd_gradient(*jobs[i], h)
+            out[i] = fd_gradient(*jobs[i])
     except BaseException:
+        # imported here, so that importing this module (the set-up time of a
+        # gradcheck run) loads nothing beyond numpy and the package
         import signal
 
         os.kill(pid, signal.SIGKILL)
@@ -165,12 +177,31 @@ def fd_gradients(jobs, h: float = H) -> list[np.ndarray]:
     sizes = [jobs[i][1].size for i in theirs]
     if status != 0 or len(data) != 8 * sum(sizes):
         for i in theirs:
-            out[i] = fd_gradient(*jobs[i], h)
+            out[i] = fd_gradient(*jobs[i])
         return out
     flat = np.frombuffer(bytearray(data), dtype=np.float64)
     for i, part in zip(theirs, np.split(flat, np.cumsum(sizes)[:-1])):
         out[i] = part.reshape(jobs[i][1].shape)
     return out
+
+
+def _vjp_error(f, args, grads, r=None) -> float:
+    """The worst scaled error of `grads`, the analytic gradients of
+    sum(f(*args) * r) (of the scalar f(*args) when r is None) w.r.t. each
+    float64 array of `args`, against one fd_gradient per argument."""
+    def loss(_v):
+        out = f(*args)
+        return out if r is None else float((out * r).sum())
+
+    return _worst(scaled_error(g, fd_gradient(loss, x))
+                  for g, x in zip(grads, args, strict=True))
+
+
+def _fd_errors(loss, pairs) -> float:
+    """The worst scaled error of each (analytic, array) pair against the FD
+    gradient of the scalar loss() w.r.t. that array, from fd_gradients."""
+    nums = fd_gradients([(lambda _v: loss(), x) for _, x in pairs])
+    return _worst(scaled_error(a, n) for (a, _), n in zip(pairs, nums))
 
 
 def _away_from_zero(arr, eps=2e-2):
@@ -196,13 +227,10 @@ def check_conv2d(seed: int) -> float:
     x = rng.normal(size=(n, ci, hw, hw))
     w = rng.normal(size=(co, ci, k, k))
     b = rng.normal(size=co)
-    r = rng.normal(size=ops.conv2d(x, w, b, stride, pad).shape)
-    gx, gw, gb = ops.conv2d_backward(r, x, w, stride, pad)
-    return _worst([
-        scaled_error(gx, fd_gradient(lambda v: float((ops.conv2d(v, w, b, stride, pad) * r).sum()), x)),
-        scaled_error(gw, fd_gradient(lambda v: float((ops.conv2d(x, v, b, stride, pad) * r).sum()), w)),
-        scaled_error(gb, fd_gradient(lambda v: float((ops.conv2d(x, w, v, stride, pad) * r).sum()), b)),
-    ])
+    y, cols = ops.conv2d_with_cols(x, w, b, stride, pad)
+    r = rng.normal(size=y.shape)
+    grads = ops.conv2d_backward(r, x, w, stride, pad, cols=cols)
+    return _vjp_error(lambda x, w, b: ops.conv2d(x, w, b, stride, pad), (x, w, b), grads, r)
 
 
 def check_linear(seed: int) -> float:
@@ -212,12 +240,7 @@ def check_linear(seed: int) -> float:
     w = rng.normal(size=(k, d))
     b = rng.normal(size=k)
     r = rng.normal(size=(n, k))
-    gx, gw, gb = ops.linear_backward(r, x, w)
-    return _worst([
-        scaled_error(gx, fd_gradient(lambda v: float((ops.linear(v, w, b) * r).sum()), x)),
-        scaled_error(gw, fd_gradient(lambda v: float((ops.linear(x, v, b) * r).sum()), w)),
-        scaled_error(gb, fd_gradient(lambda v: float((ops.linear(x, w, v) * r).sum()), b)),
-    ])
+    return _vjp_error(ops.linear, (x, w, b), ops.linear_backward(r, x, w), r)
 
 
 def check_activation(seed: int) -> float:
@@ -227,9 +250,8 @@ def check_activation(seed: int) -> float:
     if kind == "relu":
         x = _away_from_zero(x)
     r = rng.normal(size=x.shape)
-    y = ops.activation(x, kind)
-    ga = ops.activation_backward(r, x, y, kind)
-    return scaled_error(ga, fd_gradient(lambda v: float((ops.activation(v, kind) * r).sum()), x))
+    ga = ops.activation_backward(r, x, ops.activation(x, kind), kind)
+    return _vjp_error(lambda v: ops.activation(v, kind), (x,), (ga,), r)
 
 
 def check_pool(seed: int) -> float:
@@ -237,9 +259,7 @@ def check_pool(seed: int) -> float:
     x = rng.normal(size=(2, 3, 2, 4, 5))
     r = rng.normal(size=(2, 3, 2))
     ga = ops.global_avg_pool_spatial_backward(r, (4, 5))
-    return scaled_error(
-        ga, fd_gradient(lambda v: float((ops.global_avg_pool_spatial(v) * r).sum()), x)
-    )
+    return _vjp_error(ops.global_avg_pool_spatial, (x,), (ga,), r)
 
 
 def check_dropout(seed: int) -> float:
@@ -247,8 +267,7 @@ def check_dropout(seed: int) -> float:
     x = rng.normal(size=(4, 6))
     r = rng.normal(size=x.shape)
     mask = ops.dropout_mask(x.shape, 0.4, seed)
-    ga = r * mask
-    return scaled_error(ga, fd_gradient(lambda v: float((v * mask * r).sum()), x))
+    return _vjp_error(lambda v: v * mask, (x,), (r * mask,), r)
 
 
 def check_interlace(seed: int) -> float:
@@ -259,38 +278,28 @@ def check_interlace(seed: int) -> float:
     delta = t / 2.0
     offsets = _away_from_integers(rng.uniform(-delta + 0.1, delta - 0.1, size=(n, 2)))
     weights = rng.uniform(0.1, 1.9, size=(n, 2, t))
-    params = InterlaceParams(offsets, weights, delta_max=delta)
     r = rng.normal(size=x.shape)
-    gx, go, gw = interlace_backward(r, x, groups, params)
+    grads = interlace_backward(r, x, groups, InterlaceParams(offsets, weights, delta_max=delta))
 
-    def loss(off, wts, xx):
-        p = InterlaceParams(off, wts, delta_max=delta)
-        return float((interlace_forward(xx, groups, p) * r).sum())
+    def f(xx, off, wts):
+        return interlace_forward(xx, groups, InterlaceParams(off, wts, delta_max=delta))
 
-    return _worst([
-        scaled_error(gx, fd_gradient(lambda v: loss(offsets, weights, v), x)),
-        scaled_error(go, fd_gradient(lambda v: loss(v, weights, x), offsets.copy())),
-        scaled_error(gw, fd_gradient(lambda v: loss(offsets, v, x), weights.copy())),
-    ])
+    return _vjp_error(f, (x, offsets, weights), grads, r)
 
 
 def check_tsm(seed: int) -> float:
-    from .temporal import ShiftSpec
-
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(2, 4, 4, 2, 2))
     spec = ShiftSpec(0.25)
     r = rng.normal(size=x.shape)
-    ga = tsm_shift_backward(r, spec)
-    return scaled_error(ga, fd_gradient(lambda v: float((tsm_shift(v, spec) * r).sum()), x))
+    return _vjp_error(lambda v: tsm_shift(v, spec), (x,), (tsm_shift_backward(r, spec),), r)
 
 
 def check_consensus(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, 4, 5))
     r = rng.normal(size=(3, 5))
-    ga = segment_consensus_backward(r, 4)
-    return scaled_error(ga, fd_gradient(lambda v: float((segment_consensus(v) * r).sum()), x))
+    return _vjp_error(segment_consensus, (x,), (segment_consensus_backward(r, 4),), r)
 
 
 def _random_targets(rng, n, c):
@@ -310,7 +319,7 @@ def check_bce(seed: int) -> float:
     y = _random_targets(rng, 4, 6)
     cfg = losses.LossConfig(kind="bce", scale=160.0, class_weights=rng.uniform(0.5, 2.0, 6))
     _, grad = losses.bce_scaled(z, y, cfg)
-    return scaled_error(grad, fd_gradient(lambda v: losses.bce_scaled(v, y, cfg)[0], z))
+    return _vjp_error(lambda v: losses.bce_scaled(v, y, cfg)[0], (z,), (grad,))
 
 
 def check_lsep(seed: int) -> float:
@@ -318,7 +327,7 @@ def check_lsep(seed: int) -> float:
     s = rng.normal(size=(4, 6))
     y = _random_targets(rng, 4, 6)
     _, grad = losses.lsep(s, y)
-    return scaled_error(grad, fd_gradient(lambda v: losses.lsep(v, y)[0], s))
+    return _vjp_error(lambda v: losses.lsep(v, y)[0], (s,), (grad,))
 
 
 def check_warp(seed: int) -> float:
@@ -327,15 +336,11 @@ def check_warp(seed: int) -> float:
     # keep every pairwise hinge term away from its kink at margin boundary
     while True:
         s = rng.normal(size=(4, 6))
-        ok = True
-        for i in range(4):
-            pos, neg = s[i, y[i] == 1.0], s[i, y[i] == 0.0]
-            if np.any(np.abs(1.0 - pos[:, None] + neg[None, :]) < 1e-3):
-                ok = False
-        if ok:
+        hinges = [1.0 - s[i, y[i] == 1.0][:, None] + s[i, y[i] == 0.0][None, :] for i in range(4)]
+        if min(np.min(np.abs(h)) for h in hinges) >= 1e-3:
             break
     _, grad = losses.warp(s, y)
-    return scaled_error(grad, fd_gradient(lambda v: losses.warp(v, y)[0], s))
+    return _vjp_error(lambda v: losses.warp(v, y)[0], (s,), (grad,))
 
 
 def check_offset_net(seed: int) -> float:
@@ -344,11 +349,11 @@ def check_offset_net(seed: int) -> float:
                       temporal_mode="tin", num_groups=2, channels=(3,), dropout=0.0)
     params = init_params(cfg, seed)
     prefix = "block0.tin."
+    names = [name for name in params.names() if ".tin." in name]
     # keep every trunk relu pre-activation away from its kink at zero
     while True:
-        for name in params.names():
-            if ".tin." in name:
-                params.values[name][...] = rng.normal(scale=0.4, size=params[name].shape)
+        for name in names:
+            params.values[name][...] = rng.normal(scale=0.4, size=params[name].shape)
         feat = rng.normal(size=(2, 4, 3, 3, 3))
         _, cache = offset_weight_net_forward(feat, params, cfg, prefix)
         if np.min(np.abs(cache["t1"])) >= 1e-3:
@@ -356,18 +361,13 @@ def check_offset_net(seed: int) -> float:
     r_off = rng.normal(size=(2, 2))
     r_wts = rng.normal(size=(2, 2, 4))
 
-    def loss(f):
-        ip, _ = offset_weight_net_forward(f, params, cfg, prefix)
+    def loss():
+        ip, _ = offset_weight_net_forward(feat, params, cfg, prefix)
         return float((ip.offsets * r_off).sum() + (ip.weights * r_wts).sum())
 
-    params.zero_grads()
     g_feat = offset_weight_net_backward(r_off, r_wts, cache, params, cfg, prefix)
-    names = [name for name in params.names() if ".tin." in name]
-    # each weight is perturbed in place, where loss reads it through params
-    nums = fd_gradients([(loss, feat)] + [(lambda _v: loss(feat), params.values[name])
-                                          for name in names])
-    return _worst([scaled_error(g_feat, nums[0])]
-                 + [scaled_error(params.grads[name], num) for name, num in zip(names, nums[1:])])
+    return _fd_errors(loss, [(g_feat, feat)]
+                      + [(params.grads[name], params.values[name]) for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -394,44 +394,39 @@ def _model_loss(params, cfg, clip, targets, lcfg) -> float:
     return losses.bce_scaled(logits, targets, lcfg)[0]
 
 
+def _model_grads(mode: str, seed: int, channels=(4, 6)):
+    """A micro-model with its loss's analytic gradients in params.grads, and
+    that loss as a function of no arguments, reading params in place."""
+    cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
+    logits, cache = backbone_forward(clip, params, cfg, return_cache=True)
+    _, g_logits = losses.bce_scaled(logits, targets, lcfg)
+    backbone_backward(g_logits, cache, params, cfg)
+    return params, lambda: _model_loss(params, cfg, clip, targets, lcfg)
+
+
 def check_model_directional(seed: int, mode: str = "tin") -> float:
     """One random-direction FD probe through the whole micro-model."""
-    cfg, params, clip, targets, lcfg = _micro_model(mode, seed % 5)
+    params, loss = _model_grads(mode, seed % 5)
     rng = np.random.default_rng(seed + 1000)
     direction = {n: rng.normal(size=v.shape) for n, v in params.values.items()}
     norm = np.sqrt(sum(float((d * d).sum()) for d in direction.values()))
     for d in direction.values():
         d /= norm
-
-    logits, cache = backbone_forward(clip, params, cfg, return_cache=True)
-    _, g_logits = losses.bce_scaled(logits, targets, lcfg)
-    params.zero_grads()
-    backbone_backward(g_logits, cache, params, cfg)
     analytic = sum(float((params.grads[n] * direction[n]).sum()) for n in params.names())
 
-    def shift(eps):
+    def shifted(eps):
         for n in params.names():
             params.values[n] += eps * direction[n]
+        return loss()
 
-    shift(+H)
-    fp = _model_loss(params, cfg, clip, targets, lcfg)
-    shift(-2 * H)
-    fm = _model_loss(params, cfg, clip, targets, lcfg)
-    shift(+H)
+    fp, fm = shifted(H), shifted(-2 * H)
     return scaled_error(np.array([analytic]), np.array([(fp - fm) / (2 * H)]))
 
 
 def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     """Exhaustive per-parameter FD over a smaller micro-model."""
-    cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels=(2, 3))
-    logits, cache = backbone_forward(clip, params, cfg, return_cache=True)
-    _, g_logits = losses.bce_scaled(logits, targets, lcfg)
-    params.zero_grads()
-    backbone_backward(g_logits, cache, params, cfg)
-    names = params.names()
-    nums = fd_gradients([(lambda _v: _model_loss(params, cfg, clip, targets, lcfg),
-                          params.values[name]) for name in names])
-    return _worst(scaled_error(params.grads[name], num) for name, num in zip(names, nums))
+    params, loss = _model_grads(mode, seed, channels=(2, 3))
+    return _fd_errors(loss, [(params.grads[n], params.values[n]) for n in params.names()])
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +450,8 @@ OP_CHECKS = {
 
 
 def run_op_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     results = []
     for name, fn in OP_CHECKS.items():
         err = _worst(fn(base_seed + i) for i in range(cases))
@@ -463,6 +460,8 @@ def run_op_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
 
 
 def run_model_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     results = []
     for mode in ("none", "tsm", "tin"):
         err = _worst(check_model_directional(base_seed + i, mode) for i in range(cases))

@@ -63,7 +63,6 @@ class LossConfig:
     kind: str = "bce"
     scale: float = 160.0
     class_weights: np.ndarray | None = None
-    margin: float = 1.0
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:

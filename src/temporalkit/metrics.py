@@ -120,6 +120,10 @@ def ensemble_average(preds: list[PredictionMatrix], weights=None) -> PredictionM
         w = as_f64(weights)
         if w.shape != (len(preds),):
             raise ValueError(f"need one weight per input, got {w.shape}")
+        for i, wi in enumerate(w):
+            if not 0.0 <= wi < np.inf:  # NaN fails too
+                raise ValueError(f"ensemble weight {i} is {wi}; "
+                                 "weights must be finite and non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError(f"ensemble weights must sum to 1, got {float(w.sum())}")
     out = np.zeros_like(first.probs)

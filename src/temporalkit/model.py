@@ -113,9 +113,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.values[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
     def names(self) -> list[str]:
         return list(self.values)
 

@@ -321,6 +321,14 @@ class TestEnsembleAndMap:
                      "--weights", "0.9,0.9",
                      "--manifest", self._val_manifest(dataset)]) == 1
 
+    def test_negative_weight_rejected_with_one_error_line(self, dataset, preds_file, capsys):
+        capsys.readouterr()
+        assert main(["ensemble", "--predictions", str(preds_file), str(preds_file),
+                     "--weights", "2,-1",
+                     "--manifest", self._val_manifest(dataset)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble weight 1 is -1.0") and err.count("\n") == 1, err
+
     def test_labels_missing_for_prediction_id_rejected(self, dataset, preds_file):
         wrong_manifest = str(dataset / "train" / "manifest.tsv")
         assert main(["map", "--predictions", str(preds_file),

@@ -134,7 +134,7 @@ def _reference_config(data: bytes):
                     return None
                 values[key] = low in ("1", "true", "yes", "on")
             elif SCHEMA[key] == "tuple[int, ...]":
-                values[key] = tuple(_int(tok.strip()) for tok in text.split(",") if tok.strip() != "")
+                values[key] = tuple(_int(tok.strip()) for tok in text.split(",")) if text else ()
             else:
                 values[key] = text
         except ValueError:
@@ -238,6 +238,8 @@ def test_mutated_configs_load_as_stated_or_fail_by_line(tmp_path, capsys, monkey
                                        ("lr = nan\n", "1"),
                                        ("lr = 0.1\nchannels = 8,0\n", "2"),
                                        ("lr = 0.1\nchannels =\n", "2"),
+                                       ("lr = 0.1\nchannels = 8,,16\n", "2"),
+                                       ("scales = ,32,\n", "1"),
                                        ("lr = 0.1\neval_interval = 0\n", "2"),
                                        ("checkpoint_interval = 0\n", "1"),
                                        ("frames = 8\ndelta_max = -1\n", "2")])

@@ -257,3 +257,37 @@ def test_nan_in_a_later_case_fails_the_suite_and_the_command(monkeypatch, capsys
     assert [r.ok for r in results.values()] == [True, False, True, True]
     assert main(["gradcheck", "--scope", "model", "--cases", "3"]) == 3
     assert "FAIL model[tsm]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", ["run_op_suite", "run_model_suite"])
+def test_suites_refuse_fewer_than_one_case(suite, capsys):
+    with pytest.raises(ValueError, match="cases must be at least 1, got 0"):
+        getattr(gc, suite)(0)
+    scope = "ops" if suite == "run_op_suite" else "model"
+    assert main(["gradcheck", "--scope", scope, "--cases", "0"]) == 1
+    assert capsys.readouterr().err == "error: cases must be at least 1, got 0\n"
+
+
+def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
+    # perfbench's gradcheck.fd_gradient.calls counts these calls
+    calls = []
+    real = gc.fd_gradient
+
+    def counted(f, x):
+        calls.append(1)
+        return real(f, x)
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # offset_net's jobs all run here
+    monkeypatch.setattr(gc, "fd_gradient", counted)
+    params = gc.init_params(gc.ModelConfig(frames=4, in_channels=3, height=3, width=3,
+                                           num_classes=2, temporal_mode="tin", num_groups=2,
+                                           channels=(3,), dropout=0.0), 0)
+    offset_net_jobs = 1 + sum(".tin." in name for name in params.names())
+    counts = {}
+    for name, check in gc.OP_CHECKS.items():
+        calls.clear()
+        check(0)
+        counts[name] = len(calls)
+    want = {name: 1 for name in gc.OP_CHECKS}
+    want.update(conv2d=3, linear=3, interlace=3, offset_net=offset_net_jobs)
+    assert counts == want

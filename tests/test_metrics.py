@@ -203,6 +203,14 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="sum to 1"):
             ensemble_average([a, a], weights=[0.7, 0.7])
 
+    @pytest.mark.parametrize("weights,named", [((2.0, -1.0), "weight 1 is -1.0"),
+                                               ((np.nan, 1.0), "weight 0 is nan")])
+    def test_negative_or_non_finite_weight_rejected(self, weights, named):
+        a = self._pm([[0.1, 0.9], [0.2, 0.8]])
+        b = self._pm([[0.6, 0.4], [0.3, 0.7]])
+        with pytest.raises(ValueError, match=f"{named}; weights must be finite and non-negative"):
+            ensemble_average([a, b], weights=weights)
+
 
 class TestMatrixTypes:
     def test_duplicate_ids_rejected(self):
