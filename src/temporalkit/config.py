@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from .checkpoint import decimal_float, decimal_int, text_lines
 from .losses import LOSS_KINDS, WEIGHT_RULES
 from .model import HEAD_MODES, TEMPORAL_MODES, ModelConfig
-from .optim import SCHEDULE_KINDS
+from .optim import SCHEDULE_KINDS, Schedule, SgdConfig
 from .sampling import SAMPLER_KINDS, ClipSamplerSpec
 
 DATA_ROOT_ENV = "X_TEMPORAL_DATA_ROOT"
@@ -54,7 +54,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 class RunConfig:
     temporal_mode: str = "none"
     groups: int = 2
-    delta_max: float = 0.0  # 0 means frames/2
+    delta_max: float = 0.0  # 0 means half the clip's frame count
     fold: float = 0.25
     frames: int = 16
     segments: int = 5
@@ -103,7 +103,8 @@ class RunConfig:
         if not self.channels or min(self.channels) < 1:
             raise ConfigError("channels must be one or more counts >= 1", ("channels",))
         if self.delta_max < 0:
-            raise ConfigError("delta_max must be >= 0 (0 means frames/2)", ("delta_max",))
+            raise ConfigError("delta_max must be >= 0 (0 means half the clip's frames)",
+                              ("delta_max",))
         if self.loss_scale <= 0 or self.lr <= 0:
             raise ConfigError("loss_scale and lr must be positive", ("loss_scale", "lr"))
         if not self.scales or self.crop > min(self.scales):
@@ -111,10 +112,18 @@ class RunConfig:
         if not 1 <= self.scale_min <= self.scale_max or self.crop > self.scale_min:
             raise ConfigError("need crop <= scale_min <= scale_max",
                               ("crop", "scale_min", "scale_max"))
-
-    @property
-    def resolved_delta_max(self) -> float:
-        return self.delta_max if self.delta_max > 0 else self.frames / 2.0
+        # The model, the optimizer and the schedule own the other rules on
+        # the settings they are built from. Each is built here, so that a bad
+        # value fails now, named with the settings its builder's rules read.
+        for keys, build in ((("dropout", "groups", "fold", "channels"),
+                             lambda cfg: model_config_from_run(cfg, 1)),
+                            (("momentum", "weight_decay"), sgd_config_from_run),
+                            (("milestones", "lr_factor", "warmup_iters", "warmup_start_factor"),
+                             schedule_from_run)):
+            try:
+                build(self)
+            except ValueError as exc:
+                raise ConfigError(str(exc), keys) from None
 
     def resolve_data_root(self) -> str:
         if self.data_root:
@@ -141,12 +150,22 @@ def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
         num_classes=cfg.classes,
         temporal_mode=cfg.temporal_mode,
         num_groups=cfg.groups,
-        delta_max=cfg.resolved_delta_max,
+        delta_max=cfg.delta_max or None,  # None: half the model's frames
         fold=cfg.fold,
         channels=cfg.channels,
         dropout=cfg.dropout,
         head=cfg.head,
     )
+
+
+def sgd_config_from_run(cfg: RunConfig) -> SgdConfig:
+    return SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+
+
+def schedule_from_run(cfg: RunConfig) -> Schedule:
+    return Schedule(kind=cfg.schedule, max_iter=cfg.max_iters, milestones=cfg.milestones,
+                    factor=cfg.lr_factor, warmup_iters=cfg.warmup_iters,
+                    warmup_start_factor=cfg.warmup_start_factor)
 
 
 # field annotations are strings under `from __future__ import annotations`

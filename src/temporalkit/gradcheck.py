@@ -94,13 +94,23 @@ def scaled_error(analytic, numeric) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+def _float64(x) -> np.ndarray:
+    """x as an array, refused unless float64: a converted copy would take the
+    perturbations, and a loss reading the original would see none."""
+    x = np.asarray(x)
+    if x.dtype != np.float64:
+        raise TypeError(f"finite differences need a float64 array, got {x.dtype}")
+    return x
+
+
 def fd_gradient(f, x) -> np.ndarray:
-    """Full central-difference gradient of scalar f w.r.t. array x, step H.
+    """Full central-difference gradient of scalar f w.r.t. float64 array x,
+    step H.
 
     x is perturbed in place and restored between evaluations, so f may read
     it through any alias (e.g. a ParamStore holding the same array).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float64(x)
     g = np.zeros_like(x)
     for idx in np.ndindex(x.shape):
         old = x[idx]
@@ -136,7 +146,7 @@ def fd_gradients(jobs) -> list[np.ndarray]:
     exception in f surfaces here with its usual traceback. If this process's
     own half raises, the child is killed and reaped first.
     """
-    jobs = [(f, np.asarray(x, dtype=np.float64)) for f, x in jobs]
+    jobs = [(f, _float64(x)) for f, x in jobs]
     mine, theirs = _halves([x.size for _, x in jobs])
     if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
         return [fd_gradient(f, x) for f, x in jobs]
@@ -317,7 +327,7 @@ def check_bce(seed: int) -> float:
     rng = np.random.default_rng(seed)
     z = rng.normal(scale=2.0, size=(4, 6))
     y = _random_targets(rng, 4, 6)
-    cfg = losses.LossConfig(kind="bce", scale=160.0, class_weights=rng.uniform(0.5, 2.0, 6))
+    cfg = losses.LossConfig(scale=160.0, class_weights=rng.uniform(0.5, 2.0, 6))
     _, grad = losses.bce_scaled(z, y, cfg)
     return _vjp_error(lambda v: losses.bce_scaled(v, y, cfg)[0], (z,), (grad,))
 
@@ -385,7 +395,7 @@ def _micro_model(mode: str, seed: int, channels=(4, 6)):
                 params.values[name][...] = rng.normal(scale=0.3, size=params[name].shape)
     clip = rng.normal(size=(2, 4, 1, 8, 8))
     targets = _random_targets(rng, 2, 3)
-    lcfg = losses.LossConfig(kind="bce", scale=2.0)
+    lcfg = losses.LossConfig(scale=2.0)
     return cfg, params, clip, targets, lcfg
 
 

@@ -60,13 +60,12 @@ def class_weights(stats: ClassStats, rule: str) -> np.ndarray:
 
 @dataclass
 class LossConfig:
-    kind: str = "bce"
+    """The scaled BCE's settings; `RunConfig.loss` picks the loss itself."""
+
     scale: float = 160.0
     class_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError(f"loss scale must be positive, got {self.scale}")
         if self.class_weights is not None:
@@ -132,11 +131,11 @@ def _harmonic(r: int) -> float:
     return sum(1.0 / j for j in range(1, r + 1))
 
 
-def warp(scores, targets, margin: float = 1.0):
+def warp(scores, targets):
     """Rank-weighted hinge loss with the exact rank (no negative sampling).
 
-    Per positive p: r = #{negatives n : s_n + margin > s_p}; the contribution
-    is H(r) * mean over violating n of (margin - s_p + s_n), where H is the
+    Per positive p: r = #{negatives n : s_n + 1 > s_p}; the contribution
+    is H(r) * mean over violating n of (1 - s_p + s_n), where H is the
     harmonic number. Positives with r = 0 contribute nothing. Sample losses
     are the sum of their positives' contributions, averaged over samples.
     """
@@ -151,7 +150,7 @@ def warp(scores, targets, margin: float = 1.0):
         if pos.size == 0 or neg.size == 0:
             continue
         for p in pos:
-            viol = margin - s[i, p] + s[i, neg]
+            viol = 1.0 - s[i, p] + s[i, neg]
             violating = viol > 0.0
             r = int(violating.sum())
             if r == 0:

@@ -44,6 +44,7 @@ from .temporal import (
 
 TEMPORAL_MODES = ("none", "tsm", "tin")
 HEAD_MODES = ("pool", "consensus")
+OFFSET_NET_HIDDEN = 16  # width of the offset/weight generator's hidden layer
 
 
 @dataclass
@@ -59,7 +60,6 @@ class ModelConfig:
     fold: float = 0.25
     channels: tuple[int, ...] = (8, 16, 32)
     dropout: float = 0.5
-    hidden: int = 16
     head: str = "pool"
 
     def __post_init__(self):
@@ -159,9 +159,9 @@ def init_params(cfg: ModelConfig, seed: int) -> ParamStore:
         conv(f"block{i}.conv2", c_out, c_out, 3)
         conv(f"block{i}.skip", c_out, c_in, 1)
         if cfg.temporal_mode == "tin":
-            dense(f"block{i}.tin.trunk", cfg.hidden, cfg.frames)
-            dense(f"block{i}.tin.offs", cfg.num_groups, cfg.hidden, zero=True)
-            dense(f"block{i}.tin.wts", cfg.num_groups * cfg.frames, cfg.hidden, zero=True)
+            dense(f"block{i}.tin.trunk", OFFSET_NET_HIDDEN, cfg.frames)
+            dense(f"block{i}.tin.offs", cfg.num_groups, OFFSET_NET_HIDDEN, zero=True)
+            dense(f"block{i}.tin.wts", cfg.num_groups * cfg.frames, OFFSET_NET_HIDDEN, zero=True)
     dense("head", cfg.num_classes, cfg.channels[-1])
     return store
 

@@ -500,8 +500,6 @@ def dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
     """Seeded keep-mask, survivors pre-scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float64)
     rng = np.random.default_rng(seed)
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)

@@ -9,7 +9,8 @@ Spatial convention: views are expressed on a frame whose short side has been
 resized to `scale`. Crop positions assume square scaled frames (the synthetic
 data is square); the materializer clamps crops for anything else. Test-time
 crops are placed deterministically at left/center/right rather than randomly,
-so evaluation is reproducible.
+so evaluation is reproducible. A dense plan is a plain tuple of views and
+has no flipped views; only training views flip.
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Full-scale presets: strided-clip models train on short side [128,160] with
-# 112px crops and test densely at three scales; segment models use 256/224.
-CLIP_TRAIN_SCALE_RANGE = (128, 160)
-CLIP_TRAIN_CROP = 112
-CLIP_TEST_SCALES = (128, 144, 160)
-SEGMENT_TRAIN_SCALE_RANGE = (256, 256)
-SEGMENT_TRAIN_CROP = 224
 
 SAMPLER_KINDS = ("strided", "segments")
 
@@ -69,17 +62,6 @@ class View:
     scale: int
     crop: tuple[int, int, int]  # (x, y, size) on the scaled frame
     flip: bool
-
-
-@dataclass(frozen=True)
-class ClipPlan:
-    views: tuple[View, ...]
-
-    def __len__(self) -> int:
-        return len(self.views)
-
-    def __iter__(self):
-        return iter(self.views)
 
 
 def segment_indices(num_frames: int, k: int, mode: str = "center", seed: int = 0) -> list[int]:
@@ -175,9 +157,8 @@ def dense_test_plan(
     crops_per_clip: int = 3,
     scales: tuple[int, ...] = (128, 144, 160),
     crop_size: int = 112,
-    flip: bool = False,
-) -> ClipPlan:
-    """Deterministic test plan of num_clips x crops x scales (x2 with flips).
+) -> tuple[View, ...]:
+    """Deterministic test plan of num_clips x crops x scales unflipped views.
 
     Clip i starts at i*(F - span) // (num_clips - 1); a single clip is
     centered. Clips overrunning short videos fall back to clamped indices.
@@ -195,11 +176,9 @@ def dense_test_plan(
     else:
         starts = [i * room // (num_clips - 1) for i in range(num_clips)]
     views = []
-    flips = (False, True) if flip else (False,)
     for start in starts:
         frames = _clip_frames(num_frames, spec, min(start, num_frames - 1))
         for scale in scales:
             for x, y in _crop_positions(scale, crop_size, crops_per_clip):
-                for fl in flips:
-                    views.append(View(frames, scale, (x, y, crop_size), fl))
-    return ClipPlan(tuple(views))
+                views.append(View(frames, scale, (x, y, crop_size), False))
+    return tuple(views)

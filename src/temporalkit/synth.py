@@ -104,14 +104,16 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
         name, count, labels = parts
-        # decimal_int's rule, [0-9]+ per token, checked once per field
-        digits = labels.replace(",", "")
-        if not (count.isascii() and count.isdigit()
-                and digits.isascii() and (digits.isdigit() or not digits)):
+        # decimal_int's rule, [0-9]+ per token, checked once per field; an
+        # empty label field is no labels, and a blank entry in it fails
+        tokens = labels.split(",") if labels else []
+        digits = "".join(tokens)
+        if not (count.isascii() and count.isdigit() and "" not in tokens
+                and digits.isascii() and (digits.isdigit() or not tokens)):
             raise ValueError(f"{path}:{lineno}: frame count and labels must be integers, "
                              f"got {count!r} and {labels!r}")
         frames = int(count)
-        label_ids = tuple(map(int, filter(None, labels.split(","))))
+        label_ids = tuple(map(int, tokens))
         if frames < 1:
             raise ValueError(f"{path}:{lineno}: frame count must be >= 1")
         rows.append((name, frames, label_ids))

@@ -17,12 +17,13 @@ import numpy as np
 
 from . import ops
 from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, unpack_training_state
-from .config import RunConfig, clip_spec_from_config, model_config_from_run
+from .config import (RunConfig, clip_spec_from_config, model_config_from_run, schedule_from_run,
+                     sgd_config_from_run)
 from .evaluate import evaluate_predictions
 from .losses import ClassStats, LossConfig, bce_scaled, class_weights, lsep, warp
 from .metrics import LabelMatrix, map_eval
 from .model import ModelConfig, ParamStore, backbone_backward, backbone_forward, init_params
-from .optim import Schedule, SgdConfig, lr_at, sgd_step
+from .optim import lr_at, sgd_step
 from .sampling import ClipSamplerSpec, train_augment_view
 from .synth import labels_to_matrix, read_manifest
 from .videofile import load_video, materialize_view
@@ -81,7 +82,7 @@ def make_loss_fn(cfg: RunConfig, train_labels: np.ndarray):
         weights = None
         if cfg.weight_rule != "none":
             weights = class_weights(ClassStats.from_labels(train_labels), cfg.weight_rule)
-        lcfg = LossConfig(kind="bce", scale=cfg.loss_scale, class_weights=weights)
+        lcfg = LossConfig(scale=cfg.loss_scale, class_weights=weights)
         return lambda logits, targets: bce_scaled(logits, targets, lcfg)
     if cfg.loss == "lsep":
         return lambda logits, targets: lsep(logits, targets)
@@ -134,12 +135,8 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
                 velocity[name][...] = vel[name]
 
     loss_fn = make_loss_fn(cfg, data.labels)
-    sgd_cfg = SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    schedule = Schedule(
-        kind=cfg.schedule, max_iter=cfg.max_iters, milestones=cfg.milestones,
-        factor=cfg.lr_factor, warmup_iters=cfg.warmup_iters,
-        warmup_start_factor=cfg.warmup_start_factor,
-    )
+    sgd_cfg = sgd_config_from_run(cfg)
+    schedule = schedule_from_run(cfg)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

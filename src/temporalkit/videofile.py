@@ -24,12 +24,14 @@ innermost once per video, `pick_frames` converts runs of T values,
 window reaches its batch row as runs of T values. Any [T,H,W,C] array is
 accepted wherever frames are; frame-major input gives the same bits, only
 more slowly.
+
+Resizing is bilinear, with half-pixel sample centers; there is no other
+resize method.
 """
 
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -120,18 +122,16 @@ def _scaled_size(h: int, w: int, short_side: int) -> tuple[int, int]:
     return max(1, round(h * short_side / w)), short_side
 
 
-def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
+def resize_frames(frames: np.ndarray, short_side: int,
                   window: tuple[int, int, int] | None = None) -> np.ndarray:
-    """Resize [T,H,W,C] float frames so the short side equals short_side.
+    """Resize [T,H,W,C] float frames bilinearly, with half-pixel sample
+    centers, so the short side equals short_side.
 
-    Bilinear uses half-pixel sample centers; nearest is available when tests
-    need exact pixel copies. With `window=(x, y, size)`, in View.crop's
-    order, only rows [y, y+size) and columns [x, x+size) of the resized
-    frames are computed and returned. Each output pixel reads only its own taps and weights, so
-    they are the bits of the same pixels of the full resize.
+    With `window=(x, y, size)`, in View.crop's order, only rows [y, y+size)
+    and columns [x, x+size) of the resized frames are computed and returned.
+    Each output pixel reads only its own taps and weights, so they are the
+    bits of the same pixels of the full resize.
     """
-    if method not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown resize method {method!r}")
     _, h, w, _ = frames.shape
     oh, ow = _scaled_size(h, w, short_side)
     rows = cols = slice(None)
@@ -141,10 +141,6 @@ def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
     if (oh, ow) == (h, w):
         return frames if window is None else frames[:, rows, cols]
     src = frames.transpose(1, 2, 3, 0)  # [H,W,C,T]: contiguous for T-innermost frames
-    if method == "nearest":
-        ri = np.minimum((np.arange(oh)[rows] + 0.5) * h / oh, h - 1).astype(int)
-        ci = np.minimum((np.arange(ow)[cols] + 0.5) * w / ow, w - 1).astype(int)
-        return np.take(np.take(src, ri, axis=0), ci, axis=1).transpose(3, 0, 1, 2)
 
     def axis_weights(n_in, n_out, keep):
         pos = (np.arange(n_out)[keep] + 0.5) * n_in / n_out - 0.5
@@ -161,7 +157,7 @@ def resize_frames(frames: np.ndarray, short_side: int, method: str = "bilinear",
     return out.transpose(3, 0, 1, 2)
 
 
-def materialize_view(frames: np.ndarray, view: View, method: str = "bilinear") -> np.ndarray:
+def materialize_view(frames: np.ndarray, view: View) -> np.ndarray:
     """Apply a View to u8 or float [T,H,W,C] frames -> float64 clip
     [T_view, C, size, size].
 
@@ -177,7 +173,7 @@ def materialize_view(frames: np.ndarray, view: View, method: str = "bilinear") -
     y = min(y, h - size)
     if x < 0 or y < 0:
         raise ValueError(f"crop {view.crop} does not fit scaled frame {h}x{w}")
-    clip = resize_frames(pick_frames(frames, view.frame_indices), view.scale, method,
+    clip = resize_frames(pick_frames(frames, view.frame_indices), view.scale,
                          window=(x, y, size))
     if view.flip:
         clip = clip[:, :, ::-1, :]

@@ -5,6 +5,7 @@ from temporalkit.config import (
     ConfigError,
     RunConfig,
     build_config,
+    model_config_from_run,
     parse_config_file,
     parse_value,
 )
@@ -84,9 +85,14 @@ def test_data_root_env_fallback(monkeypatch):
 
 
 def test_delta_max_resolution():
-    assert RunConfig(frames=10).resolved_delta_max == 5.0
-    assert RunConfig(frames=10, delta_max=0.0).resolved_delta_max == 5.0
-    assert RunConfig(frames=10, delta_max=2.5).resolved_delta_max == 2.5
+    def resolved(**settings):
+        return model_config_from_run(RunConfig(**settings), 1).delta_max
+
+    assert resolved(frames=10) == 5.0
+    assert resolved(frames=10, delta_max=0.0) == 5.0
+    assert resolved(frames=10, delta_max=2.5) == 2.5
+    # 0 means half the model's frames: under segment sampling, the segments
+    assert resolved(sampler="segments", segments=5, temporal_mode="tin") == 2.5
 
 
 def test_build_config_rejects_unknown_override():

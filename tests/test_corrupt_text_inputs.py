@@ -80,7 +80,7 @@ def _reference_manifest(data: bytes):
             return None
         try:
             count = _int(parts[1])
-            labels = tuple(_int(tok) for tok in parts[2].split(",") if tok != "")
+            labels = tuple(_int(tok) for tok in parts[2].split(",")) if parts[2] else ()
         except ValueError:
             return None
         if count < 1:
@@ -242,7 +242,16 @@ def test_mutated_configs_load_as_stated_or_fail_by_line(tmp_path, capsys, monkey
                                        ("scales = ,32,\n", "1"),
                                        ("lr = 0.1\neval_interval = 0\n", "2"),
                                        ("checkpoint_interval = 0\n", "1"),
-                                       ("frames = 8\ndelta_max = -1\n", "2")])
+                                       ("frames = 8\ndelta_max = -1\n", "2"),
+                                       ("dropout = 1.5\n", "1"),
+                                       ("temporal_mode = tin\ngroups = 99\n", "2"),
+                                       ("temporal_mode = tin\nchannels = 1,16\ngroups = 2\n", "2,3"),
+                                       ("temporal_mode = tsm\nfold = 0.7\n", "2"),
+                                       ("momentum = 1\n", "1"),
+                                       ("lr = 0.1\nweight_decay = -1\n", "2"),
+                                       ("schedule = step\nmilestones = 20,10\n", "2"),
+                                       ("schedule = step\nlr_factor = 2\n", "2"),
+                                       ("warmup_start_factor = -1\n", "1")])
 def test_config_validation_error_names_the_lines(tmp_path, capsys, text, line):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -266,6 +275,14 @@ def test_manifest_refuses_loose_number_tokens(tmp_path, token, field):
     row = f"a.xvid\t{token}\t0" if field == "count" else f"a.xvid\t16\t0,{token}"
     path.write_text(f"b.xvid\t16\t1\n{row}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(token)}"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("labels", ["1,,2", ",3", "3,", ","])
+def test_manifest_refuses_a_blank_label_entry(tmp_path, labels):
+    path = tmp_path / "blank.tsv"
+    path.write_text(f"b.xvid\t16\t1\na.xvid\t16\t{labels}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(repr(labels))}"):
         read_manifest(path)
 
 

@@ -81,11 +81,6 @@ class TestResize:
         out = resize_frames(np.repeat(frames, 2, axis=1), 4)
         np.testing.assert_allclose(out[0, 0, :, 0], [0.0, 0.25, 0.75, 1.0])
 
-    def test_nearest_picks_cell_centers(self):
-        frames = np.array([0.0, 1.0]).reshape(1, 1, 2, 1)
-        out = resize_frames(np.repeat(frames, 2, axis=1), 4, method="nearest")
-        np.testing.assert_array_equal(out[0, 0, :, 0], [0.0, 0.0, 1.0, 1.0])
-
     def test_aspect_ratio_preserved(self):
         frames = np.zeros((1, 10, 20, 1))
         assert resize_frames(frames, 5).shape == (1, 5, 10, 1)
@@ -102,18 +97,17 @@ class TestMaterializeView:
         want = frames[3, 1:5, 2:6, 0][:, ::-1]
         np.testing.assert_allclose(clip[1, 0], want)
 
-    @pytest.mark.parametrize("method", ["bilinear", "nearest"])
-    def test_resizing_only_the_crop_window_keeps_the_bits(self, method):
+    def test_resizing_only_the_crop_window_keeps_the_bits(self):
         # training's augmentation: scales 32-40, a 32x32 crop anywhere, either flip
         frames = np.random.default_rng(3).random((3, 32, 32, 1))
         for scale in range(32, 41):
-            full = resize_frames(frames[[2, 0]], scale, method)
+            full = resize_frames(frames[[2, 0]], scale)
             for y in range(scale - 31):
                 for x in range(scale - 31):
                     for flip in (False, True):
                         want = full[:, y : y + 32, x : x + 32]
                         want = want[:, :, ::-1] if flip else want
-                        clip = materialize_view(frames, View((2, 0), scale, (x, y, 32), flip), method)
+                        clip = materialize_view(frames, View((2, 0), scale, (x, y, 32), flip))
                         assert clip.tobytes() == want.transpose(0, 3, 1, 2).tobytes()
 
     def test_crop_that_does_not_fit_rejected(self):

@@ -74,16 +74,16 @@ def test_dense_resizes_once_per_scale_and_forwards_distinct_views(tmp_path, monk
     real_resize, real_view = videofile.resize_frames, evaluate.materialize_view
     real_forward = evaluate.backbone_forward
 
-    def resize(frames, short_side, method="bilinear", window=None):
-        out = real_resize(frames, short_side, method, window)
+    def resize(frames, short_side, window=None):
+        out = real_resize(frames, short_side, window)
         # a resize to the size it has already only cuts its window out
         calls["resize"].append((calls["inside_view"] > 0, np.shares_memory(out, frames)))
         return out
 
-    def view(frames, v, method="bilinear"):
+    def view(frames, v):
         calls["inside_view"] += 1
         try:
-            clip = real_view(frames, v, method)
+            clip = real_view(frames, v)
         finally:
             calls["inside_view"] -= 1
         # a view is cut out of its scale's frames; the batch row is its only copy

@@ -31,17 +31,13 @@ def is_t_innermost(frames: np.ndarray) -> bool:
     return frames.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
-def frame_major_resize(frames, short_side, method):
-    """Resize C-ordered [T,H,W,C] frames whole: half-pixel bilinear or
-    nearest, rows first, frame axis outermost."""
+def frame_major_resize(frames, short_side):
+    """Resize C-ordered [T,H,W,C] frames whole: half-pixel bilinear, rows
+    first, frame axis outermost."""
     _, h, w, _ = frames.shape
     oh, ow = videofile._scaled_size(h, w, short_side)
     if (oh, ow) == (h, w):
         return frames
-    if method == "nearest":
-        ri = np.minimum((np.arange(oh) + 0.5) * h / oh, h - 1).astype(int)
-        ci = np.minimum((np.arange(ow) + 0.5) * w / ow, w - 1).astype(int)
-        return frames[:, ri][:, :, ci]
 
     def axis_weights(n_in, n_out):
         pos = (np.arange(n_out) + 0.5) * n_in / n_out - 0.5
@@ -54,8 +50,8 @@ def frame_major_resize(frames, short_side, method):
     return top[:, :, clo] * (1 - cf)[None, None, :, None] + top[:, :, chi] * cf[None, None, :, None]
 
 
-def frame_major_view(frames, view, method="bilinear"):
-    full = frame_major_resize(frames[list(view.frame_indices)], view.scale, method)
+def frame_major_view(frames, view):
+    full = frame_major_resize(frames[list(view.frame_indices)], view.scale)
     h, w = full.shape[1:3]
     x, y, size = view.crop
     x, y = min(x, w - size), min(y, h - size)
@@ -108,19 +104,17 @@ def test_cut_clips_give_the_bytes_of_view_by_view_cuts(shape, kind, tau):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind,tau", SAMPLERS)
-@pytest.mark.parametrize("method", ["bilinear", "nearest"])
-def test_views_of_t_innermost_frames_give_the_bytes_of_c_ordered_ones(shape, kind, tau, method):
-    rng = np.random.default_rng([shape[0], shape[2], tau, len(method)])
+def test_views_of_t_innermost_frames_give_the_bytes_of_c_ordered_ones(shape, kind, tau):
+    rng = np.random.default_rng([shape[0], shape[2], tau, 8])
     frames = rng.random(shape)
     short = min(shape[1:3])
     inner = t_innermost(frames)
     for v in random_views(rng, shape[0], kind, 5, tau, (short, short + 3, short + 8), 24, 30):
-        want = _bytes(frame_major_view(frames, v, method))
-        assert _bytes(materialize_view(frames, v, method)) == want, v
-        assert _bytes(materialize_view(inner, v, method)) == want, v
+        want = _bytes(frame_major_view(frames, v))
+        assert _bytes(materialize_view(frames, v)) == want, v
+        assert _bytes(materialize_view(inner, v)) == want, v
     for scale in (short - 5, short + 7):
-        assert _bytes(resize_frames(inner, scale, method)) == _bytes(
-            frame_major_resize(frames, scale, method))
+        assert _bytes(resize_frames(inner, scale)) == _bytes(frame_major_resize(frames, scale))
 
 
 class _Frames:
@@ -151,9 +145,9 @@ def test_build_batch_gives_the_bytes_of_view_by_view_cuts(monkeypatch, sampler, 
     seen = []
     real = train.materialize_view
 
-    def record(frames, view, method="bilinear"):
+    def record(frames, view):
         seen.append((next(i for i, v in enumerate(data.videos) if v is frames), view))
-        return real(frames, view, method)
+        return real(frames, view)
 
     monkeypatch.setattr(train, "materialize_view", record)
     spec = clip_spec_from_config(cfg)
@@ -195,9 +189,8 @@ def _evenly_forward(indices):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind,tau", SAMPLERS)
-@pytest.mark.parametrize("method", ["bilinear", "nearest"])
-def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau, method):
-    rng = np.random.default_rng([shape[0], shape[3], tau, len(kind), len(method)])
+def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau):
+    rng = np.random.default_rng([shape[0], shape[3], tau, len(kind), 8])
     raw = rng.integers(0, 256, size=shape, dtype=np.uint8)
     u8, unit = t_innermost(raw), t_innermost(raw.astype(np.float64) / 255.0)
     short = min(shape[1:3])
@@ -211,10 +204,8 @@ def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau, method
         picked = videofile.pick_frames(u8, v.frame_indices)
         assert picked.dtype == np.float64 and is_t_innermost(picked)
         assert _bytes(picked) == _bytes(videofile.pick_frames(unit, v.frame_indices)), v
-        assert _bytes(materialize_view(u8, v, method)) == _bytes(
-            materialize_view(unit, v, method)), v
-    if method == "bilinear":
-        assert evaluate._cut_clips(u8, views).tobytes() == evaluate._cut_clips(unit, views).tobytes()
+        assert _bytes(materialize_view(u8, v)) == _bytes(materialize_view(unit, v)), v
+    assert evaluate._cut_clips(u8, views).tobytes() == evaluate._cut_clips(unit, views).tobytes()
 
 
 def test_dataset_keeps_each_video_as_its_u8_bytes(tmp_path):

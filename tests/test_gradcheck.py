@@ -268,6 +268,23 @@ def test_suites_refuse_fewer_than_one_case(suite, capsys):
     assert capsys.readouterr().err == "error: cases must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_fd_gradient_refuses_an_array_that_is_not_float64(dtype):
+    # a float64 copy would take the perturbations, and this loss, reading x
+    # in place, would see none: a gradient of zeros
+    x = np.arange(3, dtype=dtype)
+
+    def loss(_v):
+        return float((x.astype(np.float64) ** 2).sum())
+
+    with pytest.raises(TypeError, match=f"float64 array, got {np.dtype(dtype).name}"):
+        gc.fd_gradient(loss, x)
+    with pytest.raises(TypeError, match=f"float64 array, got {np.dtype(dtype).name}"):
+        gc.fd_gradients([(loss, np.zeros(4)), (loss, x)])
+    x = x.astype(np.float64)
+    np.testing.assert_allclose(gc.fd_gradient(loss, x), [0.0, 2.0, 4.0], atol=1e-6)
+
+
 def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
     # perfbench's gradcheck.fd_gradient.calls counts these calls
     calls = []

@@ -188,10 +188,6 @@ class TestClassWeights:
 
 
 class TestLossConfig:
-    def test_bad_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            LossConfig(kind="focal")
-
     def test_nonpositive_scale(self):
         with pytest.raises(ValueError, match="scale"):
             LossConfig(scale=0.0)

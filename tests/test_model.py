@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from temporalkit import ops
-from temporalkit.gradcheck import RTOL, check_model_all_params, check_offset_net, scaled_error
+from temporalkit.gradcheck import (
+    RTOL,
+    check_model_all_params,
+    check_offset_net,
+    fd_gradient,
+    scaled_error,
+)
 from temporalkit.losses import LossConfig, bce_scaled
 from temporalkit.model import (
     ModelConfig,
@@ -270,6 +276,33 @@ class TestBackboneBackward:
                 num = (fp - fm) / (2 * h)
                 analytic = params.grads[name][idx]
                 assert scaled_error(np.array([analytic]), np.array([num])) < RTOL
+
+    @pytest.mark.parametrize("head", ["pool", "consensus"])
+    def test_dropout_gradients_match_finite_differences(self, head):
+        # training mode, one dropout seed for the analytic pass and every FD
+        # evaluation: backward must route the head's gradient through the mask
+        cfg = micro_config("tin", head=head, dropout=0.5)
+        params = init_params(cfg, seed=27)
+        randomize_tin_heads(params, 28)
+        rng = np.random.default_rng(29)
+        clip = rng.normal(size=(2, 4, 1, 8, 8))
+        targets = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        lcfg = LossConfig(scale=2.0)
+        logits, cache = backbone_forward(clip, params, cfg, training=True, seed=30,
+                                         return_cache=True)
+        assert 0.0 in cache["mask"] and np.any(cache["mask"])
+        _, g_logits = bce_scaled(logits, targets, lcfg)
+        params.zero_grads()
+        g_clip = backbone_backward(g_logits, cache, params, cfg)
+
+        def loss(_v):
+            logits = backbone_forward(clip, params, cfg, training=True, seed=30)
+            return bce_scaled(logits, targets, lcfg)[0]
+
+        for analytic, arr in ((params.grads["head.weight"], params["head.weight"]),
+                              (params.grads["block1.conv1.weight"], params["block1.conv1.weight"]),
+                              (g_clip, clip)):
+            assert scaled_error(analytic, fd_gradient(loss, arr)) < RTOL
 
 
 @pytest.mark.parametrize("head", ["pool", "consensus"])

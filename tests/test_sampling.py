@@ -4,11 +4,6 @@ import numpy as np
 import pytest
 
 from temporalkit.sampling import (
-    CLIP_TEST_SCALES,
-    CLIP_TRAIN_CROP,
-    CLIP_TRAIN_SCALE_RANGE,
-    SEGMENT_TRAIN_CROP,
-    SEGMENT_TRAIN_SCALE_RANGE,
     ClipSamplerSpec,
     dense_test_plan,
     segment_indices,
@@ -119,12 +114,6 @@ class TestTrainAugmentView:
                  for s in range(10)}
         assert len(views) > 1
 
-    def test_paper_presets(self):
-        assert CLIP_TRAIN_SCALE_RANGE == (128, 160)
-        assert CLIP_TRAIN_CROP == 112
-        assert SEGMENT_TRAIN_SCALE_RANGE == (256, 256)
-        assert SEGMENT_TRAIN_CROP == 224
-
 
 class TestDenseTestPlan:
     SPEC = ClipSamplerSpec.strided(8, 2)
@@ -132,31 +121,27 @@ class TestDenseTestPlan:
     def test_default_plan_has_ninety_views(self):
         plan = dense_test_plan(90, self.SPEC)
         assert len(plan) == 90
-        assert CLIP_TEST_SCALES == (128, 144, 160)
-
-    def test_flip_doubles_views(self):
-        assert len(dense_test_plan(90, self.SPEC, flip=True)) == 180
 
     def test_single_clip_is_centered(self):
         plan = dense_test_plan(90, self.SPEC, num_clips=1, crops_per_clip=1, scales=(128,),
                                crop_size=112)
-        (view,) = plan.views
+        (view,) = plan
         span = self.SPEC.span(90)  # 15 frames
         assert view.frame_indices[0] == (90 - span) // 2
 
     def test_clip_starts_spread_uniformly(self):
         plan = dense_test_plan(90, self.SPEC, num_clips=10, crops_per_clip=1, scales=(128,),
                                crop_size=112)
-        starts = [v.frame_indices[0] for v in plan.views]
+        starts = [v.frame_indices[0] for v in plan]
         room = 90 - self.SPEC.span(90)
         assert starts == [i * room // 9 for i in range(10)]
 
     def test_crops_left_center_right(self):
         plan = dense_test_plan(90, self.SPEC, num_clips=1, crops_per_clip=3, scales=(128,),
                                crop_size=112)
-        xs = [v.crop[0] for v in plan.views]
+        xs = [v.crop[0] for v in plan]
         assert xs == [0, 8, 16]
-        assert all(v.crop[1] == 8 for v in plan.views)
+        assert all(v.crop[1] == 8 for v in plan)
 
     def test_pure_function(self):
         a = dense_test_plan(77, self.SPEC)
