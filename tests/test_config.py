@@ -95,6 +95,19 @@ def test_delta_max_resolution():
     assert resolved(sampler="segments", segments=5, temporal_mode="tin") == 2.5
 
 
+@pytest.mark.parametrize("text,want", [("frames = 8\n", 4.0),
+                                       ("sampler = segments\nsegments = 5\n", 2.5),
+                                       ("sampler = segments\nsegments = 3\nframes = 16\n", 1.5),
+                                       ("sampler = segments\nsegments = 5\ndelta_max = 4\n", 4.0)])
+def test_delta_max_from_a_file_bounds_the_models_frames(tmp_path, text, want):
+    # the frames key sizes only strided clips: under segment sampling the
+    # model sees one frame per segment, and delta_max = 0 halves that count
+    path = tmp_path / "run.cfg"
+    path.write_text("temporal_mode = tin\n" + text)
+    cfg = build_config(path)
+    assert model_config_from_run(cfg, 1).delta_max == want
+
+
 def test_build_config_rejects_unknown_override():
     with pytest.raises(ConfigError, match="unknown"):
         build_config(None, {"turbo": True})

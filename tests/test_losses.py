@@ -120,6 +120,14 @@ class TestWarp:
         assert loss == 0.0
         assert not grad.any()
 
+    def test_margin_is_one(self):
+        y = np.array([[1.0, 0.0]])
+        loss, grad = warp(np.array([[1.0, 0.0]]), y)  # a gap of exactly the margin
+        assert loss == 0.0 and not grad.any()
+        loss, grad = warp(np.array([[0.75, 0.0]]), y)
+        assert loss == 0.25
+        np.testing.assert_array_equal(grad, [[-1.0, 1.0]])
+
     def test_two_equal_violators_use_harmonic_weight(self):
         s = np.array([[0.0, 0.5, 0.5]])
         y = np.array([[1.0, 0.0, 0.0]])

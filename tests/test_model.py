@@ -14,6 +14,7 @@ from temporalkit.gradcheck import (
 )
 from temporalkit.losses import LossConfig, bce_scaled
 from temporalkit.model import (
+    OFFSET_NET_HIDDEN,
     ModelConfig,
     ParamStore,
     backbone_backward,
@@ -90,6 +91,15 @@ class TestInitParams:
         b = init_params(micro_config("tin"), seed=5)
         for name in a.names():
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_offset_net_is_offset_net_hidden_wide(self):
+        cfg = micro_config("tin", frames=6)
+        params = init_params(cfg, seed=0)
+        for i in range(len(cfg.channels)):
+            assert params[f"block{i}.tin.trunk.weight"].shape == (OFFSET_NET_HIDDEN, 6)
+            assert params[f"block{i}.tin.offs.weight"].shape == (2, OFFSET_NET_HIDDEN)
+            assert params[f"block{i}.tin.wts.weight"].shape == (2 * 6, OFFSET_NET_HIDDEN)
+        assert OFFSET_NET_HIDDEN == 16
 
     def test_seed_changes_weights(self):
         a = init_params(micro_config(), seed=0)

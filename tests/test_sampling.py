@@ -5,6 +5,7 @@ import pytest
 
 from temporalkit.sampling import (
     ClipSamplerSpec,
+    View,
     dense_test_plan,
     segment_indices,
     strided_clip_indices,
@@ -148,6 +149,19 @@ class TestDenseTestPlan:
         b = dense_test_plan(77, self.SPEC)
         assert a == b
 
+    def test_plan_is_a_tuple_of_unflipped_views(self):
+        plan = dense_test_plan(90, self.SPEC)
+        assert isinstance(plan, tuple)
+        assert all(isinstance(v, View) and not v.flip for v in plan)
+        assert len(set(plan)) == 90
+
+    def test_clips_of_a_video_shorter_than_the_span_coincide(self):
+        # no room to spread the clips: all start at frame 0, and the set of
+        # views (what evaluation forwards) holds one per scale and crop
+        plan = dense_test_plan(15, self.SPEC)  # span 15
+        assert {v.frame_indices[0] for v in plan} == {0}
+        assert len(plan) == 90 and len(set(plan)) == 9
+
     def test_short_video_clamps_instead_of_failing(self):
         plan = dense_test_plan(4, self.SPEC)  # span 15 > 4 frames
         for view in plan:
@@ -166,6 +180,14 @@ class TestDenseTestPlan:
     def test_bad_crop_count(self):
         with pytest.raises(ValueError, match="crops_per_clip"):
             dense_test_plan(90, self.SPEC, crops_per_clip=4)
+
+    def test_bad_clip_count(self):
+        with pytest.raises(ValueError, match="num_clips"):
+            dense_test_plan(90, self.SPEC, num_clips=0)
+
+    def test_needs_a_scale(self):
+        with pytest.raises(ValueError, match="scale"):
+            dense_test_plan(90, self.SPEC, scales=())
 
 
 class TestClipSamplerSpec:
