@@ -73,7 +73,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args.config, _collect_overrides(args))
-    data = Dataset(cfg.val_manifest or cfg.train_manifest, cfg.resolve_data_root(), cfg.classes)
+    manifest = cfg.val_manifest or cfg.train_manifest
+    if not manifest:
+        raise ConfigError("eval needs val_manifest (or train_manifest)", ("val_manifest",))
+    data = Dataset(manifest, cfg.resolve_data_root(), cfg.classes)
     mcfg = model_config_from_run(cfg, data.in_channels)
     params = load_params_for_eval(cfg, mcfg, args.checkpoint)
     preds = evaluate_predictions(cfg, params, mcfg, data, mode=args.mode)
@@ -188,7 +191,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

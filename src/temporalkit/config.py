@@ -12,20 +12,13 @@ import os
 from dataclasses import dataclass, fields
 
 from .checkpoint import decimal_float, decimal_int, text_lines
-from .losses import LOSS_KINDS, WEIGHT_RULES
-from .model import HEAD_MODES, TEMPORAL_MODES, ModelConfig
-from .optim import SCHEDULE_KINDS, Schedule, SgdConfig
-from .sampling import SAMPLER_KINDS, ClipSamplerSpec
+from .losses import LOSS_KINDS, WEIGHT_RULES, LossConfig
+from .model import ModelConfig
+from .ops import ConfigError
+from .optim import Schedule, SgdConfig
+from .sampling import ClipSamplerSpec
 
 DATA_ROOT_ENV = "X_TEMPORAL_DATA_ROOT"
-
-
-class ConfigError(ValueError):
-    """A bad setting; `keys` names the settings a validation error is about."""
-
-    def __init__(self, message: str, keys: tuple[str, ...] = ()):
-        super().__init__(message)
-        self.keys = keys
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,39 +84,28 @@ class RunConfig:
     checkpoint_interval: int = 500
 
     def __post_init__(self):
-        for key, allowed in (("temporal_mode", TEMPORAL_MODES), ("sampler", SAMPLER_KINDS),
-                             ("head", HEAD_MODES), ("loss", LOSS_KINDS),
-                             ("weight_rule", WEIGHT_RULES), ("schedule", SCHEDULE_KINDS)):
+        # The rules no object built from these settings has. The model, the
+        # clip samplers (the unused one too), the loss, the optimizer and the
+        # schedule own the others: each is built here, so that a bad value
+        # fails now, named with the settings its failing rule read.
+        for key, allowed in (("loss", LOSS_KINDS), ("weight_rule", WEIGHT_RULES)):
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}", (key,))
-        for key in ("frames", "segments", "stride", "crop", "classes", "max_iters", "batch",
-                    "eval_interval", "checkpoint_interval"):
+        for key in ("crop", "batch", "eval_interval", "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", (key,))
-        if not self.channels or min(self.channels) < 1:
-            raise ConfigError("channels must be one or more counts >= 1", ("channels",))
-        if self.delta_max < 0:
-            raise ConfigError("delta_max must be >= 0 (0 means half the clip's frames)",
-                              ("delta_max",))
-        if self.loss_scale <= 0 or self.lr <= 0:
-            raise ConfigError("loss_scale and lr must be positive", ("loss_scale", "lr"))
-        if not self.scales or self.crop > min(self.scales):
+        if self.crop > min(self.scales, default=0):
             raise ConfigError("crop must fit the smallest eval scale", ("crop", "scales"))
-        if not 1 <= self.scale_min <= self.scale_max or self.crop > self.scale_min:
-            raise ConfigError("need crop <= scale_min <= scale_max",
-                              ("crop", "scale_min", "scale_max"))
-        # The model, the optimizer and the schedule own the other rules on
-        # the settings they are built from. Each is built here, so that a bad
-        # value fails now, named with the settings its builder's rules read.
-        for keys, build in ((("dropout", "groups", "fold", "channels"),
-                             lambda cfg: model_config_from_run(cfg, 1)),
-                            (("momentum", "weight_decay"), sgd_config_from_run),
-                            (("milestones", "lr_factor", "warmup_iters", "warmup_start_factor"),
-                             schedule_from_run)):
-            try:
-                build(self)
-            except ValueError as exc:
-                raise ConfigError(str(exc), keys) from None
+        if self.crop > self.scale_min:
+            raise ConfigError("crop must fit scale_min", ("crop", "scale_min"))
+        if self.scale_min > self.scale_max:
+            raise ConfigError("scale_min must be <= scale_max", ("scale_min", "scale_max"))
+        for kind, table in _SAMPLER_FIELDS.items():
+            _build(ClipSamplerSpec, self, table, kind=kind)
+        model_config_from_run(self, 1)
+        loss_config_from_run(self)
+        sgd_config_from_run(self)
+        schedule_from_run(self)
 
     def resolve_data_root(self) -> str:
         if self.data_root:
@@ -134,38 +116,51 @@ class RunConfig:
         raise ConfigError(f"data_root not set (flag, config file, or ${DATA_ROOT_ENV})")
 
 
+def _build(owner, cfg: RunConfig, table: dict, **values):
+    """`owner` built from `values` and, for each of its fields that `table`
+    maps to a run key, that key's setting. A ConfigError it raises is raised
+    again naming the run keys of the fields its rule read."""
+    try:
+        return owner(**{f: getattr(cfg, key) for f, key in table.items()}, **values)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), tuple(table[f] for f in exc.keys if f in table)) from None
+
+
+# Each owner's fields -> the run keys they are set from. Both sampler kinds
+# are checked; the run's clips use the one `sampler` names.
+_SAMPLER_FIELDS = {"strided": {"frames": "frames", "stride": "stride"},
+                   "segments": {"frames": "segments"}}
+_MODEL_FIELDS = {"height": "crop", "width": "crop", "num_classes": "classes",
+                 "temporal_mode": "temporal_mode", "num_groups": "groups",
+                 "delta_max": "delta_max", "fold": "fold", "channels": "channels",
+                 "dropout": "dropout", "head": "head"}
+_SGD_FIELDS = {"base_lr": "lr", "momentum": "momentum", "weight_decay": "weight_decay"}
+_SCHEDULE_FIELDS = {"kind": "schedule", "max_iter": "max_iters", "milestones": "milestones",
+                    "factor": "lr_factor", "warmup_iters": "warmup_iters",
+                    "warmup_start_factor": "warmup_start_factor"}
+
+
 def clip_spec_from_config(cfg: RunConfig) -> ClipSamplerSpec:
-    if cfg.sampler == "strided":
-        return ClipSamplerSpec.strided(cfg.frames, cfg.stride)
-    return ClipSamplerSpec.segments(cfg.segments)
+    # an unknown kind is built too, so that the spec's own rule rejects it
+    table = _SAMPLER_FIELDS.get(cfg.sampler, _SAMPLER_FIELDS["strided"])
+    return _build(ClipSamplerSpec, cfg, {"kind": "sampler", **table})
 
 
 def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
-    spec = clip_spec_from_config(cfg)
-    return ModelConfig(
-        frames=spec.frames,
-        in_channels=in_channels,
-        height=cfg.crop,
-        width=cfg.crop,
-        num_classes=cfg.classes,
-        temporal_mode=cfg.temporal_mode,
-        num_groups=cfg.groups,
-        delta_max=cfg.delta_max or None,  # None: half the model's frames
-        fold=cfg.fold,
-        channels=cfg.channels,
-        dropout=cfg.dropout,
-        head=cfg.head,
-    )
+    return _build(ModelConfig, cfg, _MODEL_FIELDS, frames=clip_spec_from_config(cfg).frames,
+                  in_channels=in_channels)
+
+
+def loss_config_from_run(cfg: RunConfig, class_weights=None) -> LossConfig:
+    return _build(LossConfig, cfg, {"scale": "loss_scale"}, class_weights=class_weights)
 
 
 def sgd_config_from_run(cfg: RunConfig) -> SgdConfig:
-    return SgdConfig(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    return _build(SgdConfig, cfg, _SGD_FIELDS)
 
 
 def schedule_from_run(cfg: RunConfig) -> Schedule:
-    return Schedule(kind=cfg.schedule, max_iter=cfg.max_iters, milestones=cfg.milestones,
-                    factor=cfg.lr_factor, warmup_iters=cfg.warmup_iters,
-                    warmup_start_factor=cfg.warmup_start_factor)
+    return _build(Schedule, cfg, _SCHEDULE_FIELDS)
 
 
 # field annotations are strings under `from __future__ import annotations`

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import as_f64, sigmoid
+from .ops import ConfigError, as_f64, sigmoid
 
 LOSS_KINDS = ("bce", "lsep", "warp")
 WEIGHT_RULES = ("none", "ratio", "sqrt_ratio", "inv_ratio", "inv_sqrt_ratio")
@@ -67,11 +67,11 @@ class LossConfig:
 
     def __post_init__(self):
         if self.scale <= 0:
-            raise ValueError(f"loss scale must be positive, got {self.scale}")
+            raise ConfigError(f"loss scale must be positive, got {self.scale}", ("scale",))
         if self.class_weights is not None:
             self.class_weights = as_f64(self.class_weights)
             if np.any(self.class_weights <= 0):
-                raise ValueError("class weights must all be positive")
+                raise ConfigError("class weights must all be positive", ("class_weights",))
 
 
 def _check_targets(targets) -> np.ndarray:

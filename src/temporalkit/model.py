@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .ops import ShapeError, as_f64
+from .ops import ConfigError, ShapeError, as_f64
 from .temporal import (
     GroupSpec,
     InterlaceParams,
@@ -56,31 +56,32 @@ class ModelConfig:
     num_classes: int
     temporal_mode: str = "none"
     num_groups: int = 2
-    delta_max: float | None = None
+    delta_max: float = 0.0  # 0 means half the frames
     fold: float = 0.25
     channels: tuple[int, ...] = (8, 16, 32)
     dropout: float = 0.5
     head: str = "pool"
 
     def __post_init__(self):
-        if self.temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(f"unknown temporal_mode {self.temporal_mode!r}")
-        if self.head not in HEAD_MODES:
-            raise ValueError(f"unknown head mode {self.head!r}")
-        if self.frames < 1 or self.num_classes < 1 or not self.channels or min(self.channels) < 1:
-            raise ValueError("frames, num_classes and channels must be non-empty/positive")
+        # an error names the fields its rule checks, not the mode that selects
+        # it; ShiftSpec's name `fold` and `channels`, this config's names too
+        for name, allowed in (("temporal_mode", TEMPORAL_MODES), ("head", HEAD_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}",
+                                  (name,))
+        for name in ("frames", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}", (name,))
+        if not self.channels or min(self.channels) < 1:
+            raise ConfigError("channels must be one or more counts >= 1", ("channels",))
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0,1), got {self.dropout}")
-        if self.delta_max is None:
-            self.delta_max = self.frames / 2.0
-        if self.delta_max <= 0:
-            raise ValueError("delta_max must be positive")
-        if self.temporal_mode == "tin":
-            if not 1 <= self.num_groups <= min(self.block_in_channels):
-                raise ValueError(
-                    f"{self.num_groups} groups do not fit the narrowest stage "
-                    f"({min(self.block_in_channels)} channels)"
-                )
+            raise ConfigError(f"dropout must be in [0,1), got {self.dropout}", ("dropout",))
+        if self.delta_max < 0:
+            raise ConfigError("delta_max must be >= 0 (0 means half the frames)", ("delta_max",))
+        self.delta_max = self.delta_max or self.frames / 2.0
+        if self.temporal_mode == "tin" and not 1 <= self.num_groups <= min(self.block_in_channels):
+            raise ConfigError(f"{self.num_groups} groups do not fit the narrowest stage "
+                              f"({min(self.block_in_channels)} channels)", ("num_groups", "channels"))
         if self.temporal_mode == "tsm":
             spec = ShiftSpec(self.fold)
             for c in self.block_in_channels:

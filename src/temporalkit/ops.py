@@ -134,6 +134,15 @@ class ShapeError(ValueError):
     """An operand's dimensions do not conform; the message names the axis."""
 
 
+class ConfigError(ValueError):
+    """A bad setting; `keys` names the fields the failing rule read, in the
+    terms of the object that raised it."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
+
+
 def as_f64(x) -> np.ndarray:
     """x as float64, copied only when it has another dtype; any strides."""
     return np.asarray(x, dtype=np.float64)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ops import ConfigError
+
 SCHEDULE_KINDS = ("cosine", "step", "constant")
 
 
@@ -26,11 +28,12 @@ class SgdConfig:
 
     def __post_init__(self):
         if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}", ("base_lr",))
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+            raise ConfigError(f"momentum must be in [0,1), got {self.momentum}", ("momentum",))
         if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}",
+                              ("weight_decay",))
 
 
 @dataclass(frozen=True)
@@ -43,19 +46,21 @@ class Schedule:
     warmup_start_factor: float = 0.1
 
     def __post_init__(self):
+        # an error names the fields its rule checks, not the kind that selects it
         if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "cosine" and self.max_iter < 1:
-            raise ValueError(f"cosine schedule needs max_iter >= 1, got {self.max_iter}")
+            raise ConfigError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}",
+                              ("kind",))
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}", ("max_iter",))
         if self.kind == "step":
             if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-                raise ValueError(f"milestones must be strictly increasing: {self.milestones}")
+                raise ConfigError(f"milestones must be strictly increasing: {self.milestones}",
+                                  ("milestones",))
             if not 0.0 < self.factor < 1.0:
-                raise ValueError(f"step factor must be in (0,1), got {self.factor}")
-        if self.warmup_iters < 0:
-            raise ValueError("warmup_iters must be >= 0")
-        if self.warmup_start_factor < 0:
-            raise ValueError(f"warmup_start_factor must be >= 0, got {self.warmup_start_factor}")
+                raise ConfigError(f"step factor must be in (0,1), got {self.factor}", ("factor",))
+        for name in ("warmup_iters", "warmup_start_factor"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}", (name,))
 
 
 def _base_lr_at(schedule: Schedule, cfg: SgdConfig, k: int) -> float:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ops import ConfigError
+
 SAMPLER_KINDS = ("strided", "segments")
 
 
@@ -32,11 +34,12 @@ class ClipSamplerSpec:
 
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.frames < 1:
-            raise ValueError(f"sampler frame count must be >= 1, got {self.frames}")
-        if self.stride < 1:
-            raise ValueError(f"sampler stride must be >= 1, got {self.stride}")
+            raise ConfigError(f"sampler kind must be one of {SAMPLER_KINDS}, got {self.kind!r}",
+                              ("kind",))
+        for name in ("frames", "stride"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"sampler {name} must be >= 1, got {getattr(self, name)}",
+                                  (name,))
 
     @classmethod
     def segments(cls, k: int) -> "ClipSamplerSpec":

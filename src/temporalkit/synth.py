@@ -97,11 +97,11 @@ def read_manifest(path) -> list[tuple[str, int, tuple[int, ...]]]:
     """Rows of (relative path, frame count, label indices)."""
     rows = []
     for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
+        # strip no tabs: an empty label field is a video with no labels
+        parts = line.strip(" \r\n").split("\t")
+        if len(parts) != 3 or not parts[0]:
             raise ValueError(f"{path}:{lineno}: expected 'path<TAB>frames<TAB>labels'")
         name, count, labels = parts
         # decimal_int's rule, [0-9]+ per token, checked once per field; an

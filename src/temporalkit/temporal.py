@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .ops import ShapeError, as_f64, batch_last, on_lane
+from .ops import ConfigError, ShapeError, as_f64, batch_last, on_lane
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,20 @@ class InterlaceParams:
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Fraction of channels shifted one frame each direction."""
+    """Fraction of channels shifted one frame each direction. Its errors name
+    `fold`, and `channels` too for a channel count the fold does not fit."""
 
     fold: float = 0.25
 
     def __post_init__(self):
         if not 0.0 < self.fold <= 0.5:
-            raise ValueError(f"fold fraction must be in (0, 0.5], got {self.fold}")
+            raise ConfigError(f"fold fraction must be in (0, 0.5], got {self.fold}", ("fold",))
 
     def fold_channels(self, channels: int) -> int:
         fc = math.ceil(channels * self.fold)
         if 2 * fc > channels:
-            raise ValueError(
-                f"fold {self.fold} shifts 2*{fc} channels but only {channels} exist"
-            )
+            raise ConfigError(f"fold {self.fold} shifts 2*{fc} channels but only {channels} exist",
+                              ("fold", "channels"))
         return fc
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import ops
 from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, unpack_training_state
-from .config import (RunConfig, clip_spec_from_config, model_config_from_run, schedule_from_run,
-                     sgd_config_from_run)
+from .config import (ConfigError, RunConfig, clip_spec_from_config, loss_config_from_run,
+                     model_config_from_run, schedule_from_run, sgd_config_from_run)
 from .evaluate import evaluate_predictions
-from .losses import ClassStats, LossConfig, bce_scaled, class_weights, lsep, warp
+from .losses import ClassStats, bce_scaled, class_weights, lsep, warp
 from .metrics import LabelMatrix, map_eval
 from .model import ModelConfig, ParamStore, backbone_backward, backbone_forward, init_params
 from .optim import lr_at, sgd_step
@@ -82,7 +82,7 @@ def make_loss_fn(cfg: RunConfig, train_labels: np.ndarray):
         weights = None
         if cfg.weight_rule != "none":
             weights = class_weights(ClassStats.from_labels(train_labels), cfg.weight_rule)
-        lcfg = LossConfig(scale=cfg.loss_scale, class_weights=weights)
+        lcfg = loss_config_from_run(cfg, weights)
         return lambda logits, targets: bce_scaled(logits, targets, lcfg)
     if cfg.loss == "lsep":
         return lambda logits, targets: lsep(logits, targets)
@@ -118,7 +118,7 @@ def run_training(cfg: RunConfig, resume: str | None = None, log_fn=None) -> Path
     """
     root = cfg.resolve_data_root()
     if not cfg.train_manifest:
-        raise ValueError("train_manifest is required")
+        raise ConfigError("train_manifest is required", ("train_manifest",))
     data = Dataset(cfg.train_manifest, root, cfg.classes)
     val = Dataset(cfg.val_manifest, root, cfg.classes) if cfg.val_manifest else None
 

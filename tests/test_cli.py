@@ -168,6 +168,15 @@ class TestTrain:
                      "--train-manifest", str(tmp_path / "none.tsv"),
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command,key", [("train", "train_manifest"), ("eval", "val_manifest")])
+    def test_unset_manifest_is_validation_error(self, tmp_path, capsys, command, key):
+        argv = [command, "--data-root", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+        if command == "eval":
+            argv += ["--checkpoint", str(tmp_path / "none.xtck")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("row,message", [
         ("vid1.xvid\tabc\t0,4", ":2: frame count and labels must be integers, got 'abc' and '0,4'"),
         ("vid1.xvid\t16\t0,x", ":2: frame count and labels must be integers, got '16' and '0,x'"),

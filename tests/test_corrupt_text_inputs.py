@@ -19,7 +19,7 @@ import pytest
 from temporalkit.cli import main
 from temporalkit.config import DATA_ROOT_ENV, SCHEMA, ConfigError, RunConfig, build_config
 from temporalkit.evaluate import read_predictions
-from temporalkit.synth import read_manifest
+from temporalkit.synth import labels_to_matrix, read_manifest
 
 CASES_PER_KIND = 40
 MANGLES = ["", "x", "-1", "0", "+7", "nan", "inf", "-inf", "1e999", "9" * 40, "0x1f", "1.5",
@@ -60,23 +60,26 @@ def _float(tok: str) -> float:
     return float(tok)
 
 
-def _lines(data: bytes):
-    """Reference reading: (line number, stripped text); None if not UTF-8."""
+def _lines(data: bytes, strip=True):
+    """Reference reading: (line number, text, stripped unless `strip` is
+    False); None if not UTF-8."""
     try:
-        return [(n, line.strip()) for n, line in enumerate(data.decode().split("\n"), 1)]
+        return [(n, line.strip() if strip else line)
+                for n, line in enumerate(data.decode().split("\n"), 1)]
     except UnicodeDecodeError:
         return None
 
 
 def _reference_manifest(data: bytes):
     rows = []
-    for _, line in _lines(data) or [(0, None)]:
+    for _, line in _lines(data, strip=False) or [(0, None)]:
         if line is None:
             return None
-        if not line or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
+        # spaces and line endings only: a tab ends the (empty) label field
+        parts = line.strip(" \r").split("\t")
+        if len(parts) != 3 or not parts[0]:
             return None
         try:
             count = _int(parts[1])
@@ -233,8 +236,32 @@ def test_mutated_configs_load_as_stated_or_fail_by_line(tmp_path, capsys, monkey
                            "--checkpoint", str(tmp_path / "missing.xtck")])
 
 
+# Every key a validation rule reads, one a line, each value valid. A case
+# below makes one value bad (and may set the mode that selects its rule).
+RULED = {"temporal_mode": "tin", "sampler": "strided", "head": "pool", "schedule": "step",
+         "loss": "bce", "weight_rule": "none", "frames": "8", "segments": "5", "stride": "2",
+         "classes": "6", "channels": "8,16,32", "delta_max": "0", "groups": "2", "fold": "0.25",
+         "dropout": "0.5", "lr": "0.1", "momentum": "0.9", "weight_decay": "0.0001",
+         "milestones": "10,20", "lr_factor": "0.1", "warmup_iters": "5",
+         "warmup_start_factor": "0.1", "max_iters": "40", "loss_scale": "160", "crop": "32",
+         "scales": "32,36", "scale_min": "32", "scale_max": "40", "batch": "4",
+         "eval_interval": "10", "checkpoint_interval": "20"}
+
+
+def _one_bad(keys, **settings):
+    """RULED with `settings` changed, and the lines of `keys`, the keys the
+    failing rule reads."""
+    settings = {**RULED, **settings}
+    text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+    line = ",".join(str(n) for n in sorted(list(settings).index(key) + 1 for key in keys))
+    return pytest.param(text, line, id=" ".join(f"{k}={v}" for k, v in settings.items()
+                                                 if RULED.get(k) != v))
+
+
 @pytest.mark.parametrize("text,line", [("lr = 0.1\ncrop = 64\n", "2"),
-                                       ("temporal_mode = tin\nloss_scale = -1\nlr = 0\n", "2,3"),
+                                       ("temporal_mode = tin\nloss_scale = -1\nlr = 0\n", "2"),
+                                       ("lr = 0.1\nloss_scale = -1\n", "2"),
+                                       ("channels = 8,16,32\ndropout = 1.5\n", "2"),
                                        ("lr = nan\n", "1"),
                                        ("lr = 0.1\nchannels = 8,0\n", "2"),
                                        ("lr = 0.1\nchannels =\n", "2"),
@@ -251,7 +278,43 @@ def test_mutated_configs_load_as_stated_or_fail_by_line(tmp_path, capsys, monkey
                                        ("lr = 0.1\nweight_decay = -1\n", "2"),
                                        ("schedule = step\nmilestones = 20,10\n", "2"),
                                        ("schedule = step\nlr_factor = 2\n", "2"),
-                                       ("warmup_start_factor = -1\n", "1")])
+                                       ("warmup_start_factor = -1\n", "1"),
+                                       _one_bad(["temporal_mode"], temporal_mode="trn"),
+                                       _one_bad(["sampler"], sampler="dense"),
+                                       _one_bad(["head"], head="max"),
+                                       _one_bad(["schedule"], schedule="poly"),
+                                       _one_bad(["loss"], loss="focal"),
+                                       _one_bad(["weight_rule"], weight_rule="log"),
+                                       _one_bad(["frames"], frames="0"),
+                                       _one_bad(["frames"], sampler="segments", frames="0"),
+                                       _one_bad(["segments"], segments="0"),
+                                       _one_bad(["segments"], sampler="segments", segments="0"),
+                                       _one_bad(["stride"], stride="0"),
+                                       _one_bad(["stride"], sampler="segments", stride="0"),
+                                       _one_bad(["classes"], classes="0"),
+                                       _one_bad(["channels"], channels="8,0"),
+                                       _one_bad(["delta_max"], delta_max="-1"),
+                                       _one_bad(["groups", "channels"], groups="99"),
+                                       _one_bad(["fold"], temporal_mode="tsm", fold="0.7"),
+                                       _one_bad(["fold", "channels"], temporal_mode="tsm",
+                                                channels="1,16"),
+                                       _one_bad(["dropout"], dropout="1.5"),
+                                       _one_bad(["lr"], lr="0"),
+                                       _one_bad(["momentum"], momentum="1"),
+                                       _one_bad(["weight_decay"], weight_decay="-1"),
+                                       _one_bad(["milestones"], milestones="20,10"),
+                                       _one_bad(["lr_factor"], lr_factor="2"),
+                                       _one_bad(["warmup_start_factor"], warmup_start_factor="-1"),
+                                       _one_bad(["max_iters"], max_iters="0"),
+                                       _one_bad(["loss_scale"], loss_scale="-1"),
+                                       _one_bad(["crop"], crop="0"),
+                                       _one_bad(["crop", "scales"], scales="30,36"),
+                                       _one_bad(["crop", "scales"], scales=""),
+                                       _one_bad(["crop", "scale_min"], scale_min="30"),
+                                       _one_bad(["scale_min", "scale_max"], scale_max="31"),
+                                       _one_bad(["batch"], batch="0"),
+                                       _one_bad(["eval_interval"], eval_interval="0"),
+                                       _one_bad(["checkpoint_interval"], checkpoint_interval="0")])
 def test_config_validation_error_names_the_lines(tmp_path, capsys, text, line):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -283,6 +346,22 @@ def test_manifest_refuses_a_blank_label_entry(tmp_path, labels):
     path = tmp_path / "blank.tsv"
     path.write_text(f"b.xvid\t16\t1\na.xvid\t16\t{labels}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: .*{re.escape(repr(labels))}"):
+        read_manifest(path)
+
+
+def test_manifest_row_with_an_empty_label_field_has_no_labels(tmp_path):
+    path = tmp_path / "unlabelled.tsv"
+    path.write_text("b.xvid\t16\t1\n\t\t\na.xvid\t16\t\nc.xvid\t8\t \r\n", encoding="utf-8")
+    rows = read_manifest(path)
+    assert rows == [("b.xvid", 16, (1,)), ("a.xvid", 16, ()), ("c.xvid", 8, ())]
+    assert labels_to_matrix(rows, 3).tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("row", ["\t16\t1", " \t16\t1"])
+def test_manifest_refuses_a_row_without_a_path(tmp_path, row):
+    path = tmp_path / "nameless.tsv"
+    path.write_text(f"b.xvid\t16\t1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: expected"):
         read_manifest(path)
 
 
