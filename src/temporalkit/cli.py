@@ -25,7 +25,7 @@ from .evaluate import (
 )
 from .gradcheck import run_model_suite, run_op_suite
 from .metrics import LabelMatrix, ensemble_average, map_eval
-from .synth import NUM_CLASSES, generate_dataset, labels_to_matrix, read_manifest
+from .synth import generate_dataset, labels_to_matrix, read_manifest
 from .train import Dataset, NonFiniteLossError, load_params_for_eval, run_training
 
 EXIT_OK = 0
@@ -50,9 +50,9 @@ def _collect_overrides(args) -> dict:
     return out
 
 
-def _manifest_labels(path) -> LabelMatrix:
+def _manifest_labels(path, num_classes: int) -> LabelMatrix:
     rows = read_manifest(path)
-    return LabelMatrix(tuple(r[0] for r in rows), labels_to_matrix(rows, NUM_CLASSES))
+    return LabelMatrix(tuple(r[0] for r in rows), labels_to_matrix(rows, num_classes))
 
 
 def cmd_gen_synth(args) -> int:
@@ -106,11 +106,11 @@ def cmd_ensemble(args) -> int:
     weights = None
     if args.weights:
         weights = np.array([decimal_float(tok.strip()) for tok in args.weights.split(",")])
-    labels = _manifest_labels(args.manifest)
+    merged = ensemble_average(preds, weights)
+    labels = _manifest_labels(args.manifest, merged.probs.shape[1])
     for path, pm in zip(args.predictions, preds):
         aligned = labels_for_ids(labels, pm.ids)
         print(f"{path}: sample mAP {map_eval(pm, aligned, 'sample'):.6f}")
-    merged = ensemble_average(preds, weights)
     aligned = labels_for_ids(labels, merged.ids)
     print(f"ensemble: sample mAP {map_eval(merged, aligned, 'sample'):.6f}")
     if args.out:
@@ -121,7 +121,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_map(args) -> int:
     preds = read_predictions(args.predictions)
-    labels = labels_for_ids(_manifest_labels(args.manifest), preds.ids)
+    labels = labels_for_ids(_manifest_labels(args.manifest, preds.probs.shape[1]), preds.ids)
     print(f"sample mAP: {map_eval(preds, labels, 'sample'):.6f}")
     print(f"class mAP:  {map_eval(preds, labels, 'class'):.6f}")
     return EXIT_OK

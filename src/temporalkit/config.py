@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .checkpoint import decimal_float, decimal_int, text_lines
-from .losses import LOSS_KINDS, WEIGHT_RULES, LossConfig
+from .losses import LossConfig
 from .model import ModelConfig
 from .ops import ConfigError
 from .optim import Schedule, SgdConfig
@@ -88,9 +88,6 @@ class RunConfig:
         # clip samplers (the unused one too), the loss, the optimizer and the
         # schedule own the others: each is built here, so that a bad value
         # fails now, named with the settings its failing rule read.
-        for key, allowed in (("loss", LOSS_KINDS), ("weight_rule", WEIGHT_RULES)):
-            if getattr(self, key) not in allowed:
-                raise ConfigError(f"{key} must be one of {allowed}", (key,))
         for key in ("crop", "batch", "eval_interval", "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1", (key,))
@@ -134,6 +131,7 @@ _MODEL_FIELDS = {"height": "crop", "width": "crop", "num_classes": "classes",
                  "temporal_mode": "temporal_mode", "num_groups": "groups",
                  "delta_max": "delta_max", "fold": "fold", "channels": "channels",
                  "dropout": "dropout", "head": "head"}
+_LOSS_FIELDS = {"kind": "loss", "scale": "loss_scale", "weight_rule": "weight_rule"}
 _SGD_FIELDS = {"base_lr": "lr", "momentum": "momentum", "weight_decay": "weight_decay"}
 _SCHEDULE_FIELDS = {"kind": "schedule", "max_iter": "max_iters", "milestones": "milestones",
                     "factor": "lr_factor", "warmup_iters": "warmup_iters",
@@ -151,8 +149,8 @@ def model_config_from_run(cfg: RunConfig, in_channels: int) -> ModelConfig:
                   in_channels=in_channels)
 
 
-def loss_config_from_run(cfg: RunConfig, class_weights=None) -> LossConfig:
-    return _build(LossConfig, cfg, {"scale": "loss_scale"}, class_weights=class_weights)
+def loss_config_from_run(cfg: RunConfig) -> LossConfig:
+    return _build(LossConfig, cfg, _LOSS_FIELDS)
 
 
 def sgd_config_from_run(cfg: RunConfig) -> SgdConfig:
@@ -211,22 +209,25 @@ def parse_config_file(path) -> dict:
 
 def build_config(file_path=None, overrides=None) -> RunConfig:
     """File values first, CLI overrides on top, then validate as a whole. A
-    validation error about settings the file made names the file and lines."""
+    validation error names the file lines and the flags that set the
+    settings its rule read."""
     merged, lines = {}, {}
+    overrides = overrides or {}
     if file_path:
         merged, lines = _read_config_file(file_path)
-    if overrides:
-        for key, value in overrides.items():
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = value
-            lines.pop(key, None)
+    for key, value in overrides.items():
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
+        merged[key] = value
+        lines.pop(key, None)
     try:
         return RunConfig(**merged)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         where = sorted(lines[key] for key in exc.keys if key in lines)
-        if not where:
+        sources = [f"{file_path}:{','.join(map(str, where))}"] if where else []
+        sources += [f"--{key.replace('_', '-')}" for key in exc.keys if key in overrides]
+        if not sources:
             raise
-        raise ConfigError(f"{file_path}:{','.join(map(str, where))}: {exc}", exc.keys) from None
+        raise ConfigError(f"{', '.join(sources)}: {exc}", exc.keys) from None

@@ -16,56 +16,40 @@ import numpy as np
 from .ops import ConfigError, as_f64, sigmoid
 
 LOSS_KINDS = ("bce", "lsep", "warp")
-WEIGHT_RULES = ("none", "ratio", "sqrt_ratio", "inv_ratio", "inv_sqrt_ratio")
+# weight rule -> the class weights it makes from the ratios N_i / mean(N) of
+# the per-class video counts; "none" weighs every class 1 and reads no count
+_RATIO_WEIGHTS = {"ratio": lambda r: r, "sqrt_ratio": np.sqrt,
+                  "inv_ratio": lambda r: 1.0 / r, "inv_sqrt_ratio": lambda r: 1.0 / np.sqrt(r)}
+WEIGHT_RULES = ("none", *_RATIO_WEIGHTS)
 
 
-@dataclass
-class ClassStats:
-    """Per-class video counts N_i; the mean count normalizes the weight rules."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = as_f64(self.counts)
-        if self.counts.ndim != 1:
-            raise ValueError("class counts must be a vector")
-
-    @property
-    def n_mean(self) -> float:
-        return float(self.counts.mean())
-
-    @classmethod
-    def from_labels(cls, labels) -> "ClassStats":
-        """Count videos containing each class from a binary [S,C] matrix."""
-        labels = np.asarray(labels)
-        return cls(labels.sum(axis=0).astype(np.float64))
-
-
-def class_weights(stats: ClassStats, rule: str) -> np.ndarray:
-    if rule not in WEIGHT_RULES:
-        raise ValueError(f"unknown weight rule {rule!r}")
+def class_weights(counts, rule: str) -> np.ndarray:
+    """Per-class weights from the vector of per-class video counts N_i."""
+    counts = as_f64(counts)
     if rule == "none":
-        return np.ones_like(stats.counts)
-    if np.any(stats.counts <= 0):
+        return np.ones_like(counts)
+    if np.any(counts <= 0):
         raise ValueError("ratio weight rules require every class count to be positive")
-    ratio = stats.counts / stats.n_mean
-    if rule == "ratio":
-        return ratio
-    if rule == "sqrt_ratio":
-        return np.sqrt(ratio)
-    if rule == "inv_ratio":
-        return 1.0 / ratio
-    return 1.0 / np.sqrt(ratio)
+    return _RATIO_WEIGHTS[rule](counts / counts.mean())
 
 
 @dataclass
 class LossConfig:
-    """The scaled BCE's settings; `RunConfig.loss` picks the loss itself."""
+    """The training loss: its kind, and the scaled BCE's scale and class
+    weights. `weight_rule` names how a run makes the weights from its counts."""
 
+    kind: str = "bce"
     scale: float = 160.0
+    weight_rule: str = "none"
     class_weights: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.kind not in LOSS_KINDS:
+            raise ConfigError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}",
+                              ("kind",))
+        if self.weight_rule not in WEIGHT_RULES:
+            raise ConfigError(f"weight_rule must be one of {WEIGHT_RULES}, "
+                              f"got {self.weight_rule!r}", ("weight_rule",))
         if self.scale <= 0:
             raise ConfigError(f"loss scale must be positive, got {self.scale}", ("scale",))
         if self.class_weights is not None:

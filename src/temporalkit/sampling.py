@@ -114,9 +114,11 @@ def train_augment_view(
     scale_range: tuple[int, int],
     crop_size: int,
     seed: int,
+    flip: bool = True,
 ) -> View:
     """Seeded training view: random clip position / per-segment frames, random
-    short-side scale in [lo, hi], random crop position, coin-flip flip."""
+    short-side scale in [lo, hi], random crop position, and, when `flip`, a
+    coin-flip flip. The coin is the last draw, so `flip` moves no other."""
     lo, hi = scale_range
     if not 1 <= lo <= hi:
         raise ValueError(f"bad scale range ({lo}, {hi})")
@@ -134,8 +136,7 @@ def train_augment_view(
     max_off = scale - crop_size
     x = int(rng.integers(0, max_off + 1))
     y = int(rng.integers(0, max_off + 1))
-    flip = bool(rng.random() < 0.5)
-    return View(frames, scale, (x, y, crop_size), flip)
+    return View(frames, scale, (x, y, crop_size), flip and bool(rng.random() < 0.5))
 
 
 def _crop_positions(scale: int, crop_size: int, crops_per_clip: int) -> list[tuple[int, int]]:

@@ -9,7 +9,6 @@ replays the exact arithmetic of the uninterrupted run.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from .checkpoint import load_checkpoint, pack_training_state, save_checkpoint, u
 from .config import (ConfigError, RunConfig, clip_spec_from_config, loss_config_from_run,
                      model_config_from_run, schedule_from_run, sgd_config_from_run)
 from .evaluate import evaluate_predictions
-from .losses import ClassStats, bce_scaled, class_weights, lsep, warp
+from .losses import bce_scaled, class_weights, lsep, warp
 from .metrics import LabelMatrix, map_eval
 from .model import ModelConfig, ParamStore, backbone_backward, backbone_forward, init_params
 from .optim import lr_at, sgd_step
@@ -78,15 +77,13 @@ class Dataset:
 
 
 def make_loss_fn(cfg: RunConfig, train_labels: np.ndarray):
-    if cfg.loss == "bce":
-        weights = None
-        if cfg.weight_rule != "none":
-            weights = class_weights(ClassStats.from_labels(train_labels), cfg.weight_rule)
-        lcfg = loss_config_from_run(cfg, weights)
-        return lambda logits, targets: bce_scaled(logits, targets, lcfg)
-    if cfg.loss == "lsep":
-        return lambda logits, targets: lsep(logits, targets)
-    return lambda logits, targets: warp(logits, targets)
+    """loss(logits, targets) -> (value, logit gradient) of the run's loss. The
+    BCE's class weights come from the training labels' per-class counts."""
+    lcfg = loss_config_from_run(cfg)
+    if lcfg.kind == "bce" and lcfg.weight_rule != "none":
+        lcfg.class_weights = class_weights(train_labels.sum(axis=0), lcfg.weight_rule)
+    return {"bce": lambda logits, targets: bce_scaled(logits, targets, lcfg),
+            "lsep": lsep, "warp": warp}[lcfg.kind]
 
 
 def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration: int,
@@ -102,10 +99,8 @@ def _build_batch(cfg: RunConfig, data: Dataset, spec: ClipSamplerSpec, iteration
     for j, idx in enumerate(indices):
         view = train_augment_view(
             data.num_frames(idx), spec, (cfg.scale_min, cfg.scale_max), cfg.crop,
-            seed=_iter_seed(cfg.seed, iteration, 100 + j),
+            seed=_iter_seed(cfg.seed, iteration, 100 + j), flip=cfg.flip,
         )
-        if not cfg.flip:
-            view = dataclasses.replace(view, flip=False)
         clips[j] = materialize_view(data.frames(idx), view)
     return clips, data.labels[indices]
 

@@ -8,8 +8,8 @@ import pytest
 
 from temporalkit.checkpoint import load_checkpoint, unpack_training_state
 from temporalkit.cli import main
-from temporalkit.evaluate import read_predictions
-from temporalkit.metrics import map_eval
+from temporalkit.evaluate import read_predictions, write_predictions
+from temporalkit.metrics import LabelMatrix, PredictionMatrix, map_eval
 from temporalkit.videofile import read_header, write_video
 
 
@@ -162,6 +162,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "flag")]) == 0
         assert (tmp_path / "flag" / "checkpoint.xtck").exists()  # flag beat the file
         assert not (tmp_path / "from_file").exists()
+
+    def test_flag_setting_is_named_by_its_flag(self, capsys):
+        assert main(["train", "--lr", "0"]) == 1
+        assert capsys.readouterr().err == "error: --lr: base_lr must be positive, got 0.0\n"
+
+    def test_rule_over_a_file_key_and_a_flag_names_both(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = 0.1\ncrop = 32\n")
+        assert main(["train", "--config", str(cfg), "--scale-min", "30"]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2, --scale-min: crop must fit scale_min\n"
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["train", "--data-root", str(tmp_path),
@@ -342,6 +352,36 @@ class TestEnsembleAndMap:
         wrong_manifest = str(dataset / "train" / "manifest.tsv")
         assert main(["map", "--predictions", str(preds_file),
                      "--manifest", wrong_manifest]) == 1
+
+    def test_class_count_comes_from_the_prediction_file(self, tmp_path, capsys):
+        # 8 classes, where the synthetic data has 6; "c" holds label 7
+        manifest = tmp_path / "eight.tsv"
+        manifest.write_text("a.xvid\t16\t0,5\nb.xvid\t16\t6\nc.xvid\t16\t7,1\n")
+        probs = np.random.default_rng(3).random((3, 8))
+        path = tmp_path / "eight.csv"
+        ids = ("c.xvid", "a.xvid", "b.xvid")
+        write_predictions(path, PredictionMatrix(ids, probs))
+        preds = read_predictions(path)
+        labels = np.zeros((3, 8))
+        labels[[0, 0, 1, 1, 2], [7, 1, 0, 5, 6]] = 1.0
+        want = map_eval(preds, LabelMatrix(ids, labels), "sample")
+        capsys.readouterr()
+        assert main(["map", "--predictions", str(path), "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"sample mAP: {want:.6f}"
+        assert main(["ensemble", "--predictions", str(path), str(path),
+                     "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"ensemble: sample mAP {want:.6f}"
+
+    def test_ensemble_of_files_with_other_class_counts_is_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("a.xvid\t16\t0\nb.xvid\t16\t1\n")
+        paths = [str(tmp_path / "p6.csv"), str(tmp_path / "p8.csv")]
+        for path, classes in zip(paths, (6, 8)):
+            write_predictions(path, PredictionMatrix(("a.xvid", "b.xvid"),
+                                                     np.full((2, classes), 0.5)))
+        capsys.readouterr()
+        assert main(["ensemble", "--predictions", *paths, "--manifest", str(manifest)]) == 1
+        assert capsys.readouterr().err == "error: ensemble inputs must share the class count\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

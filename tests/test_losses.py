@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from temporalkit.config import ConfigError, RunConfig
 from temporalkit.losses import (
-    ClassStats,
     LossConfig,
     bce_scaled,
     class_weights,
     lsep,
     warp,
 )
+from temporalkit.train import make_loss_fn
 
 
 class TestBceScaled:
@@ -161,38 +162,63 @@ class TestWarp:
 
 class TestClassWeights:
     def test_mean_count_gives_unit_weight(self):
-        stats = ClassStats(np.array([7.0, 7.0, 7.0]))
+        counts = np.array([7.0, 7.0, 7.0])
         for rule in ("none", "ratio", "sqrt_ratio", "inv_ratio", "inv_sqrt_ratio"):
-            np.testing.assert_allclose(class_weights(stats, rule), np.ones(3))
+            np.testing.assert_allclose(class_weights(counts, rule), np.ones(3))
 
     def test_sqrt_ratio_of_four(self):
-        stats = ClassStats(np.array([4.0, 1.0, 1.0]))  # mean 2 -> first ratio 2
-        w = class_weights(stats, "sqrt_ratio")
+        counts = np.array([4.0, 1.0, 1.0])  # mean 2 -> first ratio 2
+        w = class_weights(counts, "sqrt_ratio")
         np.testing.assert_allclose(w[0], math.sqrt(2.0))
 
     def test_extreme_two_class_counts(self):
-        stats = ClassStats(np.array([48060.0, 504.0]))
-        np.testing.assert_allclose(stats.n_mean, 24282.0)
-        w = class_weights(stats, "ratio")
+        counts = np.array([48060.0, 504.0])
+        w = class_weights(counts, "ratio")
         np.testing.assert_allclose(w, [1.9792, 0.020756], rtol=1e-4)
 
     def test_inverse_rules_flip_the_ratio(self):
-        stats = ClassStats(np.array([8.0, 2.0]))  # mean 5
-        np.testing.assert_allclose(class_weights(stats, "inv_ratio"), [5 / 8, 5 / 2])
+        counts = np.array([8.0, 2.0])  # mean 5
+        np.testing.assert_allclose(class_weights(counts, "inv_ratio"), [5 / 8, 5 / 2])
         np.testing.assert_allclose(
-            class_weights(stats, "inv_sqrt_ratio"), np.sqrt([5 / 8, 5 / 2])
+            class_weights(counts, "inv_sqrt_ratio"), np.sqrt([5 / 8, 5 / 2])
         )
 
     def test_zero_count_rejected_for_ratio_rules(self):
-        stats = ClassStats(np.array([3.0, 0.0]))
+        counts = np.array([3.0, 0.0])
         with pytest.raises(ValueError, match="positive"):
-            class_weights(stats, "ratio")
-        np.testing.assert_allclose(class_weights(stats, "none"), np.ones(2))
+            class_weights(counts, "ratio")
+        np.testing.assert_allclose(class_weights(counts, "none"), np.ones(2))
 
-    def test_stats_from_labels(self):
-        labels = np.array([[1, 0, 1], [1, 1, 0], [1, 0, 0]], dtype=float)
-        stats = ClassStats.from_labels(labels)
-        np.testing.assert_array_equal(stats.counts, [3, 1, 1])
+
+class TestMakeLossFn:
+    # 5 training videos, 4 classes: per-class counts 4, 1, 2, 1 (mean 2)
+    LABELS = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0], [0, 0, 0, 0]],
+                      dtype=float)
+    RATIO = np.array([2.0, 0.5, 1.0, 0.5])
+    WEIGHTS = {"none": None, "ratio": RATIO, "sqrt_ratio": np.sqrt(RATIO),
+               "inv_ratio": 1.0 / RATIO, "inv_sqrt_ratio": 1.0 / np.sqrt(RATIO)}
+
+    def _batch(self):
+        rng = np.random.default_rng(5)
+        return rng.normal(size=(3, 4)), (rng.random((3, 4)) < 0.5).astype(float)
+
+    @pytest.mark.parametrize("rule", sorted(WEIGHTS))
+    def test_bce_weights_come_from_the_training_label_counts(self, rule):
+        logits, targets = self._batch()
+        cfg = RunConfig(loss="bce", weight_rule=rule, loss_scale=3.0, classes=4)
+        got = make_loss_fn(cfg, self.LABELS)(logits, targets)
+        want = bce_scaled(logits, targets, LossConfig(scale=3.0, class_weights=self.WEIGHTS[rule]))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("kind,loss", [("lsep", lsep), ("warp", warp)])
+    def test_rank_losses_are_the_direct_call(self, kind, loss):
+        logits, targets = self._batch()
+        got = make_loss_fn(RunConfig(loss=kind, weight_rule="ratio", classes=4),
+                           self.LABELS)(logits, targets)
+        want = loss(logits, targets)
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestLossConfig:
@@ -203,3 +229,9 @@ class TestLossConfig:
     def test_nonpositive_class_weight(self):
         with pytest.raises(ValueError, match="positive"):
             LossConfig(class_weights=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("field,value", [("kind", "focal"), ("weight_rule", "log")])
+    def test_unknown_kind_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be one of .*{value}") as info:
+            LossConfig(**{field: value})
+        assert info.value.keys == (field,)

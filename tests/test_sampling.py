@@ -109,6 +109,13 @@ class TestTrainAugmentView:
         ]
         assert 0.4 < np.mean(flips) < 0.6
 
+    @pytest.mark.parametrize("spec", [SPEC, ClipSamplerSpec.segments(5)])
+    def test_no_flip_skips_only_the_coin(self, spec):
+        for seed in range(50):
+            flipped = train_augment_view(90, spec, (128, 160), 112, seed=seed)
+            plain = train_augment_view(90, spec, (128, 160), 112, seed=seed, flip=False)
+            assert plain == dataclasses.replace(flipped, flip=False)
+
     def test_segment_sampler_draws_random_frames(self):
         spec = ClipSamplerSpec.segments(5)
         views = {train_augment_view(90, spec, (128, 160), 112, seed=s).frame_indices
