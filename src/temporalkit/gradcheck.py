@@ -18,8 +18,20 @@ passed and may read it through any alias (a ParamStore holding it, say).
   the scalar f(*args) itself for the losses.
 - _fd_errors(loss, pairs) is the whole-network comparison: the offset
   net's feature map and weights, and every parameter of the micro-model,
-  as (analytic, array) pairs under one scalar loss. _model_grads is the
-  micro-model's one forward/loss/backward set-up.
+  as (analytic, array, *args) tuples, each array's FD gradient taken of
+  the scalar loss(*args). _model_grads is the micro-model's one
+  forward/loss/backward set-up.
+
+The set-up forward keeps each model stage's input (see model), and the
+micro-model's loss takes the stage to start at. check_model_all_params
+gives each parameter the loss that resumes at the stage reading it: the
+stem's at stage 0 (the whole forward, on the clip), block i's at stage
+i + 1 on block i's kept input, the head's at the last stage on the last
+block's kept output. A perturbed parameter cannot change the stages
+before its own, so the resumed forward runs the same ops on the same
+arrays as the whole one, and every FD value and max_error keeps its bits;
+only the reruns of the earlier stages are skipped. The directional probe
+perturbs every parameter at once, so it always runs the whole forward.
 
 _fd_errors takes its FD gradients from fd_gradients. When the process may
 use more than one CPU (ops' lane rule) and os.fork exists, it splits the
@@ -44,9 +56,11 @@ from .model import (
     ModelConfig,
     backbone_backward,
     backbone_forward,
+    forward_from_stage,
     init_params,
     offset_weight_net_backward,
     offset_weight_net_forward,
+    stage_of,
 )
 from .temporal import (
     GroupSpec,
@@ -208,10 +222,11 @@ def _vjp_error(f, args, grads, r=None) -> float:
 
 
 def _fd_errors(loss, pairs) -> float:
-    """The worst scaled error of each (analytic, array) pair against the FD
-    gradient of the scalar loss() w.r.t. that array, from fd_gradients."""
-    nums = fd_gradients([(lambda _v: loss(), x) for _, x in pairs])
-    return _worst(scaled_error(a, n) for (a, _), n in zip(pairs, nums))
+    """The worst scaled error of each (analytic, array, *args) tuple against
+    the FD gradient of the scalar loss(*args) w.r.t. that array, from
+    fd_gradients."""
+    nums = fd_gradients([(lambda _v, args=args: loss(*args), x) for _, x, *args in pairs])
+    return _worst(scaled_error(a, n) for (a, *_), n in zip(pairs, nums))
 
 
 def _away_from_zero(arr, eps=2e-2):
@@ -399,24 +414,30 @@ def _micro_model(mode: str, seed: int, channels=(4, 6)):
     return cfg, params, clip, targets, lcfg
 
 
-def _model_loss(params, cfg, clip, targets, lcfg) -> float:
-    logits = backbone_forward(clip, params, cfg)
+def _model_loss(params, cfg, x, targets, lcfg, stage: int = 0) -> float:
+    """The micro-model's loss, its forward started at `stage` on that stage's
+    input x. Stage 0, on the clip, is the whole forward."""
+    logits = (forward_from_stage(stage, x, params, cfg) if stage
+              else backbone_forward(x, params, cfg))
     return losses.bce_scaled(logits, targets, lcfg)[0]
 
 
 def _model_grads(mode: str, seed: int, channels=(4, 6)):
     """A micro-model with its loss's analytic gradients in params.grads, and
-    that loss as a function of no arguments, reading params in place."""
+    that loss as a function of the stage its forward starts at (by default
+    the whole forward), reading params in place. A later stage resumes from
+    the input the set-up forward gave it."""
     cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
-    logits, cache = backbone_forward(clip, params, cfg, return_cache=True)
+    cache, inputs = {}, []
+    logits = forward_from_stage(0, clip, params, cfg, cache=cache, inputs=inputs)
     _, g_logits = losses.bce_scaled(logits, targets, lcfg)
     backbone_backward(g_logits, cache, params, cfg)
-    return params, lambda: _model_loss(params, cfg, clip, targets, lcfg)
+    return params, cfg, lambda s=0: _model_loss(params, cfg, inputs[s], targets, lcfg, s)
 
 
 def check_model_directional(seed: int, mode: str = "tin") -> float:
     """One random-direction FD probe through the whole micro-model."""
-    params, loss = _model_grads(mode, seed % 5)
+    params, _, loss = _model_grads(mode, seed % 5)
     rng = np.random.default_rng(seed + 1000)
     direction = {n: rng.normal(size=v.shape) for n, v in params.values.items()}
     norm = np.sqrt(sum(float((d * d).sum()) for d in direction.values()))
@@ -434,9 +455,11 @@ def check_model_directional(seed: int, mode: str = "tin") -> float:
 
 
 def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
-    """Exhaustive per-parameter FD over a smaller micro-model."""
-    params, loss = _model_grads(mode, seed, channels=(2, 3))
-    return _fd_errors(loss, [(params.grads[n], params.values[n]) for n in params.names()])
+    """Exhaustive per-parameter FD over a smaller micro-model. Each
+    parameter's loss resumes at the stage that reads it."""
+    params, cfg, loss = _model_grads(mode, seed, channels=(2, 3))
+    return _fd_errors(loss, [(params.grads[n], params.values[n], stage_of(n, cfg))
+                             for n in params.names()])
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,17 @@ def class_weights(counts, rule: str) -> np.ndarray:
     counts = as_f64(counts)
     if rule == "none":
         return np.ones_like(counts)
-    if np.any(counts <= 0):
-        raise ValueError("ratio weight rules require every class count to be positive")
+    empty = np.flatnonzero(counts <= 0).tolist()
+    if empty:
+        raise ValueError(f"classes {empty} have no video; ratio rules need every count positive")
     return _RATIO_WEIGHTS[rule](counts / counts.mean())
 
 
 @dataclass
 class LossConfig:
     """The training loss: its kind, and the scaled BCE's scale and class
-    weights. `weight_rule` names how a run makes the weights from its counts."""
+    weights. `weight_rule` names how a run makes the weights from its counts;
+    the rank losses take no weights, so their rule must be "none"."""
 
     kind: str = "bce"
     scale: float = 160.0
@@ -50,6 +52,9 @@ class LossConfig:
         if self.weight_rule not in WEIGHT_RULES:
             raise ConfigError(f"weight_rule must be one of {WEIGHT_RULES}, "
                               f"got {self.weight_rule!r}", ("weight_rule",))
+        if self.kind != "bce" and self.weight_rule != "none":
+            raise ConfigError(f"loss kind {self.kind!r} takes no class weights: weight_rule "
+                              f"must be 'none', got {self.weight_rule!r}", ("kind", "weight_rule"))
         if self.scale <= 0:
             raise ConfigError(f"loss scale must be positive, got {self.scale}", ("scale",))
         if self.class_weights is not None:

@@ -12,6 +12,13 @@ weights.
 Heads are zero-initialized, which makes a freshly built interlacing model an
 exact no-op: its logits match the temporal-mode-free model bit for bit.
 
+The forward runs in stages: the stem is stage 0, block i is stage i + 1,
+and the head (pool, dropout, linear, consensus) is the last. A stage reads
+only its input and its own parameters, so `forward_from_stage` can resume
+at any stage from the input an earlier forward gave it, with the same bits;
+`backbone_forward` is the run from stage 0, and `stage_of` names the stage
+that reads a parameter.
+
 Forward/backward are hand-chained. Every conv and linear layer runs through
 `_conv`/`_linear`, whose backward adds the layer's own `.weight`/`.bias`
 gradients to the ParamStore, and every relu/tanh/sigmoid through the
@@ -256,46 +263,35 @@ def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
 
 
 # ---------------------------------------------------------------------------
-# backbone
+# backbone: the stem (stage 0), one stage per block, the head
 # ---------------------------------------------------------------------------
 
-def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
-                     training: bool = False, seed: int = 0, return_cache: bool = False):
-    """Run the full model on [N,T,C,H,W]; returns per-class logits [N,classes].
-
-    Activations stay batch-innermost (see `ops`). Without `return_cache` no
-    layer's context outlives the layer, so a conv's columns are freed as
-    soon as it has run. With it, the cache maps each layer to what its
-    backward reads and is spent by `backbone_backward`. The relu entry is
-    its output `r1` alone: `r1 > 0` exactly where its input `a1 > 0` (NaN
-    fails both), so backward passes `r1` as both of the relu's saved
-    tensors and `a1` is not kept.
-    """
-    x = as_f64(clip)
-    if x.ndim != 5 or x.shape[1:] != (cfg.frames, cfg.in_channels, cfg.height, cfg.width):
-        raise ShapeError(f"clip shape {x.shape} does not match config "
-                         f"[N,{cfg.frames},{cfg.in_channels},{cfg.height},{cfg.width}]")
-    cache = {} if return_cache else None
-    x = _conv(x, params, "stem", 2, 1, cache)
-
-    for i in range(cfg.num_blocks):
-        name = f"block{i}."
-        if cfg.temporal_mode == "tin":
-            iparams, ocache = offset_weight_net_forward(x, params, cfg, name + "tin.")
-            groups = GroupSpec.even(x.shape[2], cfg.num_groups)
-            if cache is not None:
-                cache[name + "tin"] = (x, groups, iparams, ocache)
-            xt = interlace_forward(x, groups, iparams)
-        elif cfg.temporal_mode == "tsm":
-            xt = tsm_shift(x, ShiftSpec(cfg.fold))
-        else:
-            xt = x
-        r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
+def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache) -> np.ndarray:
+    """Block i on its input [N,T,C,H,W]: the temporal module, conv1, relu and
+    conv2, plus the skip conv of x. The relu entry is its output `r1` alone:
+    `r1 > 0` exactly where its input `a1 > 0` (NaN fails both), so backward
+    passes `r1` as both of the relu's saved tensors and `a1` is not kept."""
+    name = f"block{i}."
+    if cfg.temporal_mode == "tin":
+        iparams, ocache = offset_weight_net_forward(x, params, cfg, name + "tin.")
+        groups = GroupSpec.even(x.shape[2], cfg.num_groups)
         if cache is not None:
-            cache[name + "relu1"] = r1
-        a2 = _conv(r1, params, name + "conv2", 1, 1, cache)
-        x = a2 + _conv(x, params, name + "skip", 2, 0, cache)
+            cache[name + "tin"] = (x, groups, iparams, ocache)
+        xt = interlace_forward(x, groups, iparams)
+    elif cfg.temporal_mode == "tsm":
+        xt = tsm_shift(x, ShiftSpec(cfg.fold))
+    else:
+        xt = x
+    r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
+    if cache is not None:
+        cache[name + "relu1"] = r1
+    a2 = _conv(r1, params, name + "conv2", 1, 1, cache)
+    return a2 + _conv(x, params, name + "skip", 2, 0, cache)
 
+
+def _head_forward(x, params: ParamStore, cfg: ModelConfig, training: bool, seed: int,
+                  cache) -> np.ndarray:
+    """Pool, dropout, linear and consensus on the last block's output."""
     # each sample's pixels, then its frames, are summed in an order that
     # does not depend on how many clips share the call
     pooled = ops.global_avg_pool_spatial(x)  # [N, T, C_last]
@@ -306,10 +302,56 @@ def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
     logits = _linear(fd, params, "head")
     if cfg.head == "consensus":
         logits = segment_consensus(logits.reshape(x.shape[0], cfg.frames, -1))
-    if cache is None:
-        return logits
-    cache.update(body_shape=x.shape, mask=mask, fd=fd)
-    return logits, cache
+    if cache is not None:
+        cache.update(body_shape=x.shape, mask=mask, fd=fd)
+    return logits
+
+
+def forward_from_stage(stage: int, x, params: ParamStore, cfg: ModelConfig,
+                       training: bool = False, seed: int = 0, cache=None, inputs=None):
+    """The logits of the stages from `stage` on, given that stage's input x.
+
+    Stage 0 is the stem, stage i + 1 block i and stage num_blocks + 1 the
+    head. Each stage's input is appended to the list `inputs` when one is
+    given. A stage reads nothing but its input and its own parameters, so
+    resuming at stage s from the input an earlier forward gave it yields the
+    same bits as the whole forward, as long as no parameter of an earlier
+    stage has changed.
+    """
+    for s in range(stage, cfg.num_blocks + 2):
+        if inputs is not None:
+            inputs.append(x)
+        if s > cfg.num_blocks:
+            return _head_forward(x, params, cfg, training, seed, cache)
+        x = (_conv(x, params, "stem", 2, 1, cache) if s == 0
+             else _block_forward(x, s - 1, params, cfg, cache))
+
+
+def stage_of(name: str, cfg: ModelConfig) -> int:
+    """The stage that reads parameter `name` (see `forward_from_stage`)."""
+    layer = name.split(".", 1)[0]
+    if layer.startswith("block"):
+        return int(layer[len("block"):]) + 1
+    return {"stem": 0, "head": cfg.num_blocks + 1}[layer]
+
+
+def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,
+                     training: bool = False, seed: int = 0, return_cache: bool = False):
+    """Run the full model on [N,T,C,H,W]; returns per-class logits [N,classes].
+
+    The stages run in order from the stem (see `forward_from_stage`).
+    Activations stay batch-innermost (see `ops`). Without `return_cache` no
+    layer's context outlives the layer, so a conv's columns are freed as
+    soon as it has run. With it, the cache maps each layer to what its
+    backward reads and is spent by `backbone_backward`.
+    """
+    x = as_f64(clip)
+    if x.ndim != 5 or x.shape[1:] != (cfg.frames, cfg.in_channels, cfg.height, cfg.width):
+        raise ShapeError(f"clip shape {x.shape} does not match config "
+                         f"[N,{cfg.frames},{cfg.in_channels},{cfg.height},{cfg.width}]")
+    cache = {} if return_cache else None
+    logits = forward_from_stage(0, x, params, cfg, training, seed, cache)
+    return logits if cache is None else (logits, cache)
 
 
 def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
@@ -345,7 +387,7 @@ def backbone_backward(g_logits, cache, params: ParamStore, cfg: ModelConfig,
         name = f"block{i}."
         g_skip_in = _conv_backward(g_x, cache, params, name + "skip")
         g_r1 = _conv_backward(g_x, cache, params, name + "conv2")
-        r1 = cache.pop(name + "relu1")  # stands in for a1: see backbone_forward
+        r1 = cache.pop(name + "relu1")  # stands in for a1: see _block_forward
         g_a1 = ops.activation_backward(g_r1, r1, r1, "relu")
         g_xt = _conv_backward(g_a1, cache, params, name + "conv1")
         if cfg.temporal_mode == "tin":

@@ -80,8 +80,12 @@ def make_loss_fn(cfg: RunConfig, train_labels: np.ndarray):
     """loss(logits, targets) -> (value, logit gradient) of the run's loss. The
     BCE's class weights come from the training labels' per-class counts."""
     lcfg = loss_config_from_run(cfg)
-    if lcfg.kind == "bce" and lcfg.weight_rule != "none":
-        lcfg.class_weights = class_weights(train_labels.sum(axis=0), lcfg.weight_rule)
+    if lcfg.weight_rule != "none":  # LossConfig allows a rule for bce alone
+        try:
+            lcfg.class_weights = class_weights(train_labels.sum(axis=0), lcfg.weight_rule)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.train_manifest}: weight_rule = {lcfg.weight_rule}: {exc}",
+                              ("weight_rule", "train_manifest")) from None
     return {"bce": lambda logits, targets: bce_scaled(logits, targets, lcfg),
             "lsep": lsep, "warp": warp}[lcfg.kind]
 

@@ -173,6 +173,24 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--scale-min", "30"]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:2, --scale-min: crop must fit scale_min\n"
 
+    def test_rank_loss_with_a_weight_rule_names_both_flags(self, capsys):
+        assert main(["train", "--loss", "warp", "--weight-rule", "ratio"]) == 1
+        assert capsys.readouterr().err == ("error: --loss, --weight-rule: loss kind 'warp' takes "
+                                           "no class weights: weight_rule must be 'none', "
+                                           "got 'ratio'\n")
+
+    def test_ratio_rule_with_an_empty_class_names_it(self, dataset, tmp_path, capsys):
+        manifest = tmp_path / "class0.tsv"
+        rows = (dataset / "train" / "manifest.tsv").read_text().splitlines()
+        manifest.write_text("".join(row.rsplit("\t", 1)[0] + "\t0\n" for row in rows))
+        argv = train_flags(dataset, tmp_path / "out", train_manifest=manifest, max_iters=2,
+                           weight_rule="ratio")
+        assert main(["train"] + argv) == 1
+        assert capsys.readouterr().err == (f"error: {manifest}: weight_rule = ratio: classes "
+                                           "[1, 2, 3, 4, 5] have no video; ratio rules need "
+                                           "every count positive\n")
+        assert not (tmp_path / "out" / "checkpoint.xtck").exists()
+
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["train", "--data-root", str(tmp_path),
                      "--train-manifest", str(tmp_path / "none.tsv"),

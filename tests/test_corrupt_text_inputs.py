@@ -285,6 +285,10 @@ def _one_bad(keys, **settings):
                                        _one_bad(["schedule"], schedule="poly"),
                                        _one_bad(["loss"], loss="focal"),
                                        _one_bad(["weight_rule"], weight_rule="log"),
+                                       _one_bad(["loss", "weight_rule"], loss="warp",
+                                                weight_rule="ratio"),
+                                       _one_bad(["loss", "weight_rule"], loss="lsep",
+                                                weight_rule="inv_sqrt_ratio"),
                                        _one_bad(["frames"], frames="0"),
                                        _one_bad(["frames"], sampler="segments", frames="0"),
                                        _one_bad(["segments"], segments="0"),

@@ -1,6 +1,8 @@
+import functools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -308,3 +310,71 @@ def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
     want = {name: 1 for name in gc.OP_CHECKS}
     want.update(conv2d=3, linear=3, interlace=3, offset_net=offset_net_jobs)
     assert counts == want
+
+
+# ---------------------------------------------------------------------------
+# whole-model FD resumed at each parameter's stage
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _whole_forward_reference(mode, seed):
+    """check_model_all_params as a whole forward per FD evaluation: the
+    same micro-model, gradients and pairs, every loss through backbone_forward."""
+    cfg, params, clip, targets, lcfg = gc._micro_model(mode, seed, channels=(2, 3))
+    logits, cache = gc.backbone_forward(clip, params, cfg, return_cache=True)
+    gc.backbone_backward(gc.losses.bce_scaled(logits, targets, lcfg)[1], cache, params, cfg)
+    pairs = [(params.grads[n], params.values[n]) for n in params.names()]
+    return gc._fd_errors(lambda: gc._model_loss(params, cfg, clip, targets, lcfg), pairs).hex()
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["fork", "serial"])
+@pytest.mark.parametrize("seed", [7, 3])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_resumed_fd_keeps_the_whole_forward_bits(mode, seed, lane, monkeypatch):
+    want = _whole_forward_reference(mode, seed)
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: lane)
+    assert gc.check_model_all_params(mode, seed).hex() == want
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("head", ["pool", "consensus"])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_every_stage_resumes_to_the_whole_forward_logits(mode, head, training):
+    cfg = gc.ModelConfig(frames=4, in_channels=1, height=8, width=8, num_classes=3,
+                         temporal_mode=mode, channels=(4, 6, 8), head=head, dropout=0.3)
+    params = gc.init_params(cfg, 5)
+    rng = np.random.default_rng(5)
+    for name in params.names():  # no zero head or bias hides a stage
+        params.values[name][...] = rng.normal(scale=0.3, size=params[name].shape)
+    clip = rng.normal(size=(2, 4, 1, 8, 8))
+    want = gc.backbone_forward(clip, params, cfg, training=training, seed=9).tobytes()
+    inputs = []
+    gc.forward_from_stage(0, clip, params, cfg, training=training, seed=9, inputs=inputs)
+    assert len(inputs) == cfg.num_blocks + 2 and inputs[0] is clip
+    for stage, x in enumerate(inputs):
+        got = gc.forward_from_stage(stage, x, params, cfg, training=training, seed=9)
+        assert got.tobytes() == want, stage
+
+
+def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
+    # convs a forward runs from stage 0 (the stem, then three per block),
+    # 1 (blocks 0 and 1), 2 (block 1) and 3 (the head)
+    convs_from = [7, 6, 3, 0]
+    cfg, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
+    coords = [0] * (cfg.num_blocks + 2)
+    for name in params.names():
+        coords[gc.stage_of(name, cfg)] += params[name].size
+    assert coords == [20, 332, 400, 12]
+    calls = Counter()
+    real = ops.conv2d_with_cols
+
+    def counted(x, kernel, *args, **kwargs):
+        calls["stem" if kernel.shape == params["stem.weight"].shape else "block"] += 1
+        return real(x, kernel, *args, **kwargs)
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # every job runs here
+    monkeypatch.setattr(ops, "conv2d_with_cols", counted)
+    gc.check_model_all_params("tin")
+    setup = 7  # the one unperturbed forward
+    assert calls["stem"] == 1 + 2 * coords[0]
+    assert sum(calls.values()) == setup + 2 * sum(n * c for n, c in zip(coords, convs_from))

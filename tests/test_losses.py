@@ -184,10 +184,10 @@ class TestClassWeights:
         )
 
     def test_zero_count_rejected_for_ratio_rules(self):
-        counts = np.array([3.0, 0.0])
-        with pytest.raises(ValueError, match="positive"):
+        counts = np.array([3.0, 0.0, 2.0, 0.0])
+        with pytest.raises(ValueError, match=r"classes \[1, 3\] have no video.*positive"):
             class_weights(counts, "ratio")
-        np.testing.assert_allclose(class_weights(counts, "none"), np.ones(2))
+        np.testing.assert_allclose(class_weights(counts, "none"), np.ones(4))
 
 
 class TestMakeLossFn:
@@ -214,11 +214,20 @@ class TestMakeLossFn:
     @pytest.mark.parametrize("kind,loss", [("lsep", lsep), ("warp", warp)])
     def test_rank_losses_are_the_direct_call(self, kind, loss):
         logits, targets = self._batch()
-        got = make_loss_fn(RunConfig(loss=kind, weight_rule="ratio", classes=4),
+        got = make_loss_fn(RunConfig(loss=kind, weight_rule="none", classes=4),
                            self.LABELS)(logits, targets)
         want = loss(logits, targets)
         assert got[0] == want[0]
         np.testing.assert_array_equal(got[1], want[1])
+
+    def test_a_class_without_a_video_names_the_classes_the_rule_and_the_manifest(self):
+        cfg = RunConfig(weight_rule="inv_ratio", classes=4, train_manifest="train.tsv")
+        labels = self.LABELS * [1, 0, 1, 0]  # classes 1 and 3 lose their videos
+        with pytest.raises(ConfigError) as info:
+            make_loss_fn(cfg, labels)
+        assert str(info.value).startswith("train.tsv: weight_rule = inv_ratio: classes [1, 3] ")
+        assert info.value.keys == ("weight_rule", "train_manifest")
+        make_loss_fn(RunConfig(classes=4), labels)  # the rule "none" reads no count
 
 
 class TestLossConfig:
@@ -229,6 +238,14 @@ class TestLossConfig:
     def test_nonpositive_class_weight(self):
         with pytest.raises(ValueError, match="positive"):
             LossConfig(class_weights=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", ["lsep", "warp"])
+    @pytest.mark.parametrize("rule", ["ratio", "sqrt_ratio", "inv_ratio", "inv_sqrt_ratio"])
+    def test_rank_losses_refuse_a_weight_rule(self, kind, rule):
+        with pytest.raises(ConfigError, match=f"'{kind}' takes no class weights.*'{rule}'") as info:
+            LossConfig(kind=kind, weight_rule=rule)
+        assert info.value.keys == ("kind", "weight_rule")
+        assert LossConfig(kind=kind).weight_rule == "none"
 
     @pytest.mark.parametrize("field,value", [("kind", "focal"), ("weight_rule", "log")])
     def test_unknown_kind_names_its_field(self, field, value):
