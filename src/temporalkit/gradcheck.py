@@ -22,16 +22,21 @@ passed and may read it through any alias (a ParamStore holding it, say).
   the scalar loss(*args). _model_grads is the micro-model's one
   forward/loss/backward set-up.
 
-The set-up forward keeps each model stage's input (see model), and the
-micro-model's loss takes the stage to start at. check_model_all_params
-gives each parameter the loss that resumes at the stage reading it: the
-stem's at stage 0 (the whole forward, on the clip), block i's at stage
-i + 1 on block i's kept input, the head's at the last stage on the last
-block's kept output. A perturbed parameter cannot change the stages
-before its own, so the resumed forward runs the same ops on the same
-arrays as the whole one, and every FD value and max_error keeps its bits;
-only the reruns of the earlier stages are skipped. The directional probe
-perturbs every parameter at once, so it always runs the whole forward.
+The set-up forward keeps each model stage's input and each block layer's
+output (see model), and the micro-model's loss takes the stage and layer
+to start at. check_model_all_params gives each parameter the loss that
+resumes where it is first read: the stem's at stage 0 (the whole forward,
+on the clip), the head's at the last stage on the last block's kept
+output, and block i's at stage i + 1 on block i's kept input, from the
+parameter's own layer. The offset net's weights start at the temporal
+layer, on the kept pooled frame feature; conv1's at conv1, on the kept
+temporal output; conv2's at conv2; and the skip's at the skip, on the
+kept conv2 output. Every block layer but the skip's reuses the kept skip
+output. A perturbed parameter cannot change what is read before it, so
+the resumed forward runs the same ops on the same arrays as the whole
+one, and every FD value and max_error keeps its bits; only the reruns of
+the earlier stages and layers are skipped. The directional probe perturbs
+every parameter at once, so it always runs the whole forward.
 
 _fd_errors takes its FD gradients from fd_gradients. When the process may
 use more than one CPU (ops' lane rule) and os.fork exists, it splits the
@@ -414,25 +419,27 @@ def _micro_model(mode: str, seed: int, channels=(4, 6)):
     return cfg, params, clip, targets, lcfg
 
 
-def _model_loss(params, cfg, x, targets, lcfg, stage: int = 0) -> float:
+def _model_loss(params, cfg, x, targets, lcfg, stage: int = 0, layer=None, kept=None) -> float:
     """The micro-model's loss, its forward started at `stage` on that stage's
-    input x. Stage 0, on the clip, is the whole forward."""
-    logits = (forward_from_stage(stage, x, params, cfg) if stage
+    input x, and in a block at `layer`, from the outputs `kept`. Stage 0, on
+    the clip, is the whole forward."""
+    logits = (forward_from_stage(stage, x, params, cfg, kept=kept, layer=layer) if stage
               else backbone_forward(x, params, cfg))
     return losses.bce_scaled(logits, targets, lcfg)[0]
 
 
 def _model_grads(mode: str, seed: int, channels=(4, 6)):
     """A micro-model with its loss's analytic gradients in params.grads, and
-    that loss as a function of the stage its forward starts at (by default
-    the whole forward), reading params in place. A later stage resumes from
-    the input the set-up forward gave it."""
+    that loss as a function of the stage and layer its forward starts at (by
+    default the whole forward), reading params in place. A later stage or
+    layer resumes from what the set-up forward kept."""
     cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
-    cache, inputs = {}, []
-    logits = forward_from_stage(0, clip, params, cfg, cache=cache, inputs=inputs)
+    cache, kept = {}, {}
+    logits = forward_from_stage(0, clip, params, cfg, cache=cache, kept=kept)
     _, g_logits = losses.bce_scaled(logits, targets, lcfg)
     backbone_backward(g_logits, cache, params, cfg)
-    return params, cfg, lambda s=0: _model_loss(params, cfg, inputs[s], targets, lcfg, s)
+    return params, cfg, lambda s=0, layer=None: _model_loss(params, cfg, kept[s], targets, lcfg,
+                                                            s, layer, kept)
 
 
 def check_model_directional(seed: int, mode: str = "tin") -> float:
@@ -456,9 +463,9 @@ def check_model_directional(seed: int, mode: str = "tin") -> float:
 
 def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     """Exhaustive per-parameter FD over a smaller micro-model. Each
-    parameter's loss resumes at the stage that reads it."""
+    parameter's loss resumes at the stage and layer that read it."""
     params, cfg, loss = _model_grads(mode, seed, channels=(2, 3))
-    return _fd_errors(loss, [(params.grads[n], params.values[n], stage_of(n, cfg))
+    return _fd_errors(loss, [(params.grads[n], params.values[n], *stage_of(n, cfg))
                              for n in params.names()])
 
 

@@ -13,11 +13,16 @@ Heads are zero-initialized, which makes a freshly built interlacing model an
 exact no-op: its logits match the temporal-mode-free model bit for bit.
 
 The forward runs in stages: the stem is stage 0, block i is stage i + 1,
-and the head (pool, dropout, linear, consensus) is the last. A stage reads
-only its input and its own parameters, so `forward_from_stage` can resume
-at any stage from the input an earlier forward gave it, with the same bits;
-`backbone_forward` is the run from stage 0, and `stage_of` names the stage
-that reads a parameter.
+and the head (pool, dropout, linear, consensus) is the last. A block runs
+in named layers (`BLOCK_LAYERS`): `pool`, the offset net's pooled frame
+feature (tin only); `temporal`, the offset net's MLP and the interlacing,
+the tsm shift or nothing; `conv1` with its relu; `conv2`; and `skip`, the
+strided 1x1 conv of the block's input. Its output is conv2's plus skip's.
+A stage reads only its input and its own parameters, and a layer only its
+inputs and its own parameters, so `forward_from_stage` can resume at any
+stage, or at any layer of a block, from what an earlier forward kept, with
+the same bits; `backbone_forward` is the run from stage 0, and `stage_of`
+names the stage and layer that read a parameter.
 
 Forward/backward are hand-chained. Every conv and linear layer runs through
 `_conv`/`_linear`, whose backward adds the layer's own `.weight`/`.bias`
@@ -52,6 +57,7 @@ from .temporal import (
 TEMPORAL_MODES = ("none", "tsm", "tin")
 HEAD_MODES = ("pool", "consensus")
 OFFSET_NET_HIDDEN = 16  # width of the offset/weight generator's hidden layer
+BLOCK_LAYERS = ("pool", "temporal", "conv1", "conv2", "skip")
 
 
 @dataclass
@@ -230,10 +236,16 @@ def offset_weight_net_forward(feat, params: ParamStore, cfg: ModelConfig, prefix
     feat = as_f64(feat)
     if feat.ndim != 5:
         raise ShapeError(f"offset net input must be [N,T,C,H,W], got rank {feat.ndim}")
-    n, t = feat.shape[:2]
+    t = feat.shape[1]
     if t != cfg.frames:
         raise ShapeError(f"feature frame axis {t} does not match config frames {cfg.frames}")
     m = ops.global_avg_pool_spatial(feat).mean(axis=2)  # [N,T]
+    return _offset_weight_mlp(m, feat.shape, params, cfg, prefix)
+
+
+def _offset_weight_mlp(m, feat_shape, params: ParamStore, cfg: ModelConfig, prefix: str):
+    """`offset_weight_net_forward` after its pooling, on the pooled [N,T] m."""
+    n, t = m.shape
     t1 = _linear(m, params, prefix + "trunk")
     h = ops.activation(t1, "relu")
     zo = _linear(h, params, prefix + "offs")
@@ -243,7 +255,7 @@ def offset_weight_net_forward(feat, params: ParamStore, cfg: ModelConfig, prefix
     iparams = InterlaceParams(cfg.delta_max * th, (2.0 * sg).reshape(n, cfg.num_groups, t),
                               delta_max=cfg.delta_max)
     return iparams, {"m": m, "t1": t1, "h": h, "zo": zo, "th": th, "zw": zw, "sg": sg,
-                     "feat_shape": feat.shape}
+                     "feat_shape": feat_shape}
 
 
 def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
@@ -266,14 +278,24 @@ def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,
 # backbone: the stem (stage 0), one stage per block, the head
 # ---------------------------------------------------------------------------
 
-def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache) -> np.ndarray:
-    """Block i on its input [N,T,C,H,W]: the temporal module, conv1, relu and
-    conv2, plus the skip conv of x. The relu entry is its output `r1` alone:
-    `r1 > 0` exactly where its input `a1 > 0` (NaN fails both), so backward
-    passes `r1` as both of the relu's saved tensors and `a1` is not kept."""
+def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache, kept=None,
+                   layer: int = 0) -> np.ndarray:
+    """Block i on its input x [N,T,C,H,W], from its layer BLOCK_LAYERS[layer].
+
+    From layer 0 it runs every layer and stores each one's output in `kept`,
+    when given, under "block{i}.<layer>". From a later layer it reruns that
+    layer and the layers reading its output, and takes the other outputs
+    from `kept`: the skip reruns only from the skip. The relu entry is its
+    output `r1` alone: `r1 > 0` exactly where its input `a1 > 0` (NaN fails
+    both), so backward passes `r1` as both of the relu's saved tensors and
+    `a1` is not kept."""
     name = f"block{i}."
-    if cfg.temporal_mode == "tin":
-        iparams, ocache = offset_weight_net_forward(x, params, cfg, name + "tin.")
+    if layer > 1:
+        xt = kept[name + "temporal"]
+    elif cfg.temporal_mode == "tin":
+        prefix = name + "tin."
+        iparams, ocache = (_offset_weight_mlp(kept[name + "pool"], x.shape, params, cfg, prefix)
+                           if layer else offset_weight_net_forward(x, params, cfg, prefix))
         groups = GroupSpec.even(x.shape[2], cfg.num_groups)
         if cache is not None:
             cache[name + "tin"] = (x, groups, iparams, ocache)
@@ -282,11 +304,18 @@ def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache) -> np.ndar
         xt = tsm_shift(x, ShiftSpec(cfg.fold))
     else:
         xt = x
-    r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
-    if cache is not None:
-        cache[name + "relu1"] = r1
-    a2 = _conv(r1, params, name + "conv2", 1, 1, cache)
-    return a2 + _conv(x, params, name + "skip", 2, 0, cache)
+    if layer > 2:
+        r1 = kept[name + "conv1"]
+    else:
+        r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
+        if cache is not None:
+            cache[name + "relu1"] = r1
+    a2 = kept[name + "conv2"] if layer > 3 else _conv(r1, params, name + "conv2", 1, 1, cache)
+    skip = kept[name + "skip"] if 0 < layer < 4 else _conv(x, params, name + "skip", 2, 0, cache)
+    if kept is not None and not layer:
+        outputs = (ocache["m"] if cfg.temporal_mode == "tin" else None, xt, r1, a2, skip)
+        kept.update((name + k, v) for k, v in zip(BLOCK_LAYERS, outputs))
+    return a2 + skip
 
 
 def _head_forward(x, params: ParamStore, cfg: ModelConfig, training: bool, seed: int,
@@ -308,31 +337,50 @@ def _head_forward(x, params: ParamStore, cfg: ModelConfig, training: bool, seed:
 
 
 def forward_from_stage(stage: int, x, params: ParamStore, cfg: ModelConfig,
-                       training: bool = False, seed: int = 0, cache=None, inputs=None):
+                       training: bool = False, seed: int = 0, cache=None, kept=None,
+                       layer: str | None = None):
     """The logits of the stages from `stage` on, given that stage's input x.
 
     Stage 0 is the stem, stage i + 1 block i and stage num_blocks + 1 the
-    head. Each stage's input is appended to the list `inputs` when one is
-    given. A stage reads nothing but its input and its own parameters, so
-    resuming at stage s from the input an earlier forward gave it yields the
-    same bits as the whole forward, as long as no parameter of an earlier
-    stage has changed.
+    head. A run from stage 0 stores each stage's input in the dict `kept`,
+    when given, under its stage number, and each block layer's output under
+    its name (see `_block_forward`). With `layer`, one of BLOCK_LAYERS, the
+    block at `stage` resumes at that layer, taking the outputs of the layers
+    it does not rerun from `kept`. A resumed run stores nothing. A stage
+    reads nothing but its input and its own parameters, and a layer nothing
+    but its inputs and its own parameters, so resuming from what an earlier
+    forward kept yields the same bits as the whole forward, as long as no
+    parameter read before the resume point has changed.
     """
-    for s in range(stage, cfg.num_blocks + 2):
-        if inputs is not None:
-            inputs.append(x)
-        if s > cfg.num_blocks:
+    last = cfg.num_blocks + 1
+    if not 0 <= stage <= last:
+        raise ValueError(f"stage {stage} is not one of the model's stages 0..{last}")
+    if layer is not None and (layer not in BLOCK_LAYERS or not 0 < stage < last):
+        raise ValueError(f"layer {layer!r} at stage {stage}: a resume layer is one of "
+                         f"{BLOCK_LAYERS}, in a block stage 1..{last - 1}")
+    k = 0 if layer is None else BLOCK_LAYERS.index(layer)
+    keep = kept if stage == 0 else None
+    for s in range(stage, last + 1):
+        if keep is not None:
+            keep[s] = x
+        if s == last:
             return _head_forward(x, params, cfg, training, seed, cache)
         x = (_conv(x, params, "stem", 2, 1, cache) if s == 0
-             else _block_forward(x, s - 1, params, cfg, cache))
+             else _block_forward(x, s - 1, params, cfg, cache, kept if k else keep, k))
+        k = 0
 
 
-def stage_of(name: str, cfg: ModelConfig) -> int:
-    """The stage that reads parameter `name` (see `forward_from_stage`)."""
-    layer = name.split(".", 1)[0]
-    if layer.startswith("block"):
-        return int(layer[len("block"):]) + 1
-    return {"stem": 0, "head": cfg.num_blocks + 1}[layer]
+def stage_of(name: str, cfg: ModelConfig) -> tuple[int, str | None]:
+    """The stage that reads parameter `name` and, in a block, the layer
+    (None for the stem and the head): the resume point of its FD loss."""
+    first, part = (name.split(".") + [""])[:2]
+    stages = {"stem": 0, "head": cfg.num_blocks + 1} | {f"block{i}": i + 1
+                                                        for i in range(cfg.num_blocks)}
+    layer = {"conv1": "conv1", "conv2": "conv2", "skip": "skip", "tin": "temporal"}.get(part)
+    if first not in stages or first.startswith("block") != (layer is not None):
+        raise ValueError(f"{name!r} is not a parameter of the model: stem, head and "
+                         f"block0..block{cfg.num_blocks - 1}'s conv1, conv2, skip and tin")
+    return stages[first], layer
 
 
 def backbone_forward(clip, params: ParamStore, cfg: ModelConfig,

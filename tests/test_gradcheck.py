@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import temporalkit.gradcheck as gc
-from temporalkit import ops
+from temporalkit import model, ops
 from temporalkit.cli import main
-from temporalkit.model import ParamStore
+from temporalkit.model import BLOCK_LAYERS, ParamStore
 
 
 def test_op_suite_passes_on_small_case_counts():
@@ -313,7 +313,7 @@ def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# whole-model FD resumed at each parameter's stage
+# whole-model FD resumed at each parameter's stage and layer
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -336,45 +336,132 @@ def test_resumed_fd_keeps_the_whole_forward_bits(mode, seed, lane, monkeypatch):
     assert gc.check_model_all_params(mode, seed).hex() == want
 
 
-@pytest.mark.parametrize("training", [False, True])
-@pytest.mark.parametrize("head", ["pool", "consensus"])
-@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
-def test_every_stage_resumes_to_the_whole_forward_logits(mode, head, training):
+def _three_block_model(mode, head):
+    """A three-block model with every parameter drawn non-zero, so that no
+    zero head or bias hides a stage or a layer, and its clip."""
     cfg = gc.ModelConfig(frames=4, in_channels=1, height=8, width=8, num_classes=3,
                          temporal_mode=mode, channels=(4, 6, 8), head=head, dropout=0.3)
     params = gc.init_params(cfg, 5)
     rng = np.random.default_rng(5)
-    for name in params.names():  # no zero head or bias hides a stage
+    for name in params.names():
         params.values[name][...] = rng.normal(scale=0.3, size=params[name].shape)
     clip = rng.normal(size=(2, 4, 1, 8, 8))
+    return cfg, params, clip
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("head", ["pool", "consensus"])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_every_stage_resumes_to_the_whole_forward_logits(mode, head, training):
+    cfg, params, clip = _three_block_model(mode, head)
     want = gc.backbone_forward(clip, params, cfg, training=training, seed=9).tobytes()
-    inputs = []
-    gc.forward_from_stage(0, clip, params, cfg, training=training, seed=9, inputs=inputs)
-    assert len(inputs) == cfg.num_blocks + 2 and inputs[0] is clip
-    for stage, x in enumerate(inputs):
-        got = gc.forward_from_stage(stage, x, params, cfg, training=training, seed=9)
-        assert got.tobytes() == want, stage
+    kept = {}
+    got = gc.forward_from_stage(0, clip, params, cfg, training=training, seed=9, kept=kept)
+    assert got.tobytes() == want and kept[0] is clip
+    stages = range(cfg.num_blocks + 2)
+    assert set(kept) == set(stages) | {f"block{i}.{layer}" for i in range(cfg.num_blocks)
+                                       for layer in BLOCK_LAYERS}
+    before = dict(kept)
+    points = [(s, None) for s in stages[1:]] + [(s, layer) for s in stages[1:-1]
+                                                for layer in BLOCK_LAYERS]
+    for stage, layer in points:
+        got = gc.forward_from_stage(stage, kept[stage], params, cfg, training=training, seed=9,
+                                    kept=kept, layer=layer)
+        assert got.tobytes() == want, (stage, layer)
+    # a resumed run reads what the set-up kept and stores nothing
+    assert kept.keys() == before.keys() and all(kept[k] is before[k] for k in kept)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("head", ["pool", "consensus"])
+@pytest.mark.parametrize("mode", ["none", "tsm", "tin"])
+def test_a_parameter_changed_after_the_set_up_shows_from_its_resume_point(mode, head, training):
+    cfg, params, clip = _three_block_model(mode, head)
+    kept = {}
+    gc.forward_from_stage(0, clip, params, cfg, training=training, seed=9, kept=kept)
+    for name in params.names():
+        value = params[name]
+        old = value.flat[0]
+        value.flat[0] = old + 0.25
+        want = gc.backbone_forward(clip, params, cfg, training=training, seed=9)
+        stage, layer = gc.stage_of(name, cfg)
+        # the stem's resume point is the whole run, which would store its outputs
+        got = gc.forward_from_stage(stage, kept[stage], params, cfg, training=training, seed=9,
+                                    kept=kept if stage else None, layer=layer)
+        value.flat[0] = old
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _resume_model():
+    cfg, params, clip, _, _ = gc._micro_model("tin", 7, channels=(2, 3))
+    return cfg, params, clip
+
+
+@pytest.mark.parametrize("stage", [9, -1, 4])
+def test_a_stage_outside_the_model_fails_by_name(stage):
+    cfg, params, clip = _resume_model()
+    with pytest.raises(ValueError, match=rf"stage {stage} is not one of the model's stages 0\.\.3"):
+        gc.forward_from_stage(stage, clip, params, cfg)
+
+
+@pytest.mark.parametrize("stage, layer", [(1, "conv3"), (1, "tin"), (0, "conv1"), (3, "skip")])
+def test_a_layer_outside_the_blocks_fails_by_name(stage, layer):
+    cfg, params, clip = _resume_model()
+    kept = {}
+    gc.forward_from_stage(0, clip, params, cfg, kept=kept)
+    with pytest.raises(ValueError, match=rf"layer '{layer}' at stage {stage}: a resume layer "
+                                         r"is one of \('pool', .*\), in a block stage 1\.\.2"):
+        gc.forward_from_stage(stage, kept[stage], params, cfg, kept=kept, layer=layer)
+
+
+@pytest.mark.parametrize("name", ["block9.conv1.weight", "nope.weight", "block0.conv3.weight",
+                                  "block0.weight", "stem.conv1.weight"])
+def test_a_name_that_is_not_a_parameter_fails_by_name(name):
+    cfg, _, _ = _resume_model()
+    with pytest.raises(ValueError, match=rf"'{name}' is not a parameter of the model: stem, "
+                                         r"head and block0\.\.block1's conv1, conv2, skip"):
+        gc.stage_of(name, cfg)
 
 
 def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
-    # convs a forward runs from stage 0 (the stem, then three per block),
-    # 1 (blocks 0 and 1), 2 (block 1) and 3 (the head)
-    convs_from = [7, 6, 3, 0]
     cfg, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
-    coords = [0] * (cfg.num_blocks + 2)
+    coords = Counter()
     for name in params.names():
         coords[gc.stage_of(name, cfg)] += params[name].size
-    assert coords == [20, 332, 400, 12]
+    assert coords == {(0, None): 20, (1, "temporal"): 250, (1, "conv1"): 38, (1, "conv2"): 38,
+                      (1, "skip"): 6, (2, "temporal"): 250, (2, "conv1"): 57, (2, "conv2"): 84,
+                      (2, "skip"): 9, (3, None): 12}
+    # per resume point, the (stem, conv1, conv2, skip) convs and the
+    # interlacings its loss reruns: a block's skip output is kept for every
+    # layer but the skip, its conv2 output for the skip
+    reruns = {(0, None): (1, 2, 2, 2, 2), (1, "temporal"): (0, 2, 2, 1, 2),
+              (1, "conv1"): (0, 2, 2, 1, 1), (1, "conv2"): (0, 1, 2, 1, 1),
+              (1, "skip"): (0, 1, 1, 2, 1), (2, "temporal"): (0, 1, 1, 0, 1),
+              (2, "conv1"): (0, 1, 1, 0, 0), (2, "conv2"): (0, 0, 1, 0, 0),
+              (2, "skip"): (0, 0, 0, 1, 0), (3, None): (0, 0, 0, 0, 0)}
     calls = Counter()
-    real = ops.conv2d_with_cols
+    real_conv, real_interlace = ops.conv2d_with_cols, model.interlace_forward
 
-    def counted(x, kernel, *args, **kwargs):
-        calls["stem" if kernel.shape == params["stem.weight"].shape else "block"] += 1
-        return real(x, kernel, *args, **kwargs)
+    def conv(x, kernel, bias, stride, *args, **kwargs):
+        calls["stem" if kernel.shape == params["stem.weight"].shape
+              else "skip" if kernel.shape[2:] == (1, 1) else "conv2" if stride == 1
+              else "conv1"] += 1
+        return real_conv(x, kernel, bias, stride, *args, **kwargs)
+
+    def interlace(*args, **kwargs):
+        calls["interlace"] += 1
+        return real_interlace(*args, **kwargs)
 
     monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # every job runs here
-    monkeypatch.setattr(ops, "conv2d_with_cols", counted)
+    monkeypatch.setattr(ops, "conv2d_with_cols", conv)
+    monkeypatch.setattr(model, "interlace_forward", interlace)
     gc.check_model_all_params("tin")
-    setup = 7  # the one unperturbed forward
-    assert calls["stem"] == 1 + 2 * coords[0]
-    assert sum(calls.values()) == setup + 2 * sum(n * c for n, c in zip(coords, convs_from))
+    setup = (1, 2, 2, 2, 2)  # the one unperturbed forward
+    want = {layer: setup[j] + 2 * sum(n * reruns[point][j] for point, n in coords.items())
+            for j, layer in enumerate(("stem", "conv1", "conv2", "skip", "interlace"))}
+    assert want == {"stem": 41, "conv1": 1936, "conv2": 2180, "skip": 776, "interlace": 1746}
+    assert calls == want
+    # per parameter group, its coordinates times the convs its loss reruns:
+    # the stem, block 0's offset net and conv1, its conv2 and skip, and the same of block 1
+    convs = sum(calls.values()) - calls["interlace"]
+    assert convs == 7 + 2 * (20 * 7 + 288 * 5 + 44 * 4 + 307 * 2 + 93 * 1)
