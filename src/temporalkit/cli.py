@@ -46,7 +46,7 @@ def _collect_overrides(args) -> dict:
     for key in SCHEMA:
         raw = getattr(args, f"cfg_{key}", None)
         if raw is not None:
-            out[key] = parse_value(key, raw)
+            out[key] = parse_value(key, raw, f"--{key.replace('_', '-')}")
     return out
 
 

@@ -173,15 +173,16 @@ _PARSERS = {
 SCHEMA = {f.name: f.type for f in fields(RunConfig)}
 
 
-def parse_value(key: str, text: str):
-    if key not in SCHEMA:
-        raise ConfigError(f"unknown config key {key!r}")
+def parse_value(key: str, text: str, where: str = ""):
+    """`text` as `key`'s type. An error starts with `where`, the file line or
+    flag that gave the value, when one is given."""
     try:
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
         return _PARSERS[SCHEMA[key]](text)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+        message = str(exc) if isinstance(exc, ConfigError) else f"bad value for {key!r}: {exc}"
+        raise ConfigError(f"{where}: {message}" if where else message) from exc
 
 
 def _read_config_file(path) -> tuple[dict, dict]:
@@ -195,10 +196,7 @@ def _read_config_file(path) -> tuple[dict, dict]:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, text = line.partition("=")
         key = key.strip()
-        try:
-            values[key] = parse_value(key, text.strip())
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        values[key] = parse_value(key, text.strip(), f"{path}:{lineno}")
         lines[key] = lineno
     return values, lines
 

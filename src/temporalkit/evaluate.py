@@ -29,32 +29,6 @@ from .videofile import materialize_view
 _FORWARD_CHUNK = 8
 
 
-def _cut_clips(frames, views) -> np.ndarray:
-    """[N,T,C,H,W] clips of `views`, resizing the frames they use once per scale.
-
-    The frames the views use are picked once, as float64 and T innermost
-    (see `videofile`: u8 frames are converted there), and resized once per
-    scale. Each view's crop and flip is then a view of its scale's resized
-    frames, copied in one pass into its row of a batch-innermost array (see
-    `ops`) as runs of T values.
-    resize_frames treats every frame on its own, so the clips carry the same
-    bits as resizing view by view.
-    """
-    used = sorted({i for v in views for i in v.frame_indices})
-    at = {frame: k for k, frame in enumerate(used)}
-    picked = videofile.pick_frames(frames, used)
-    t, c, size = len(views[0].frame_indices), frames.shape[3], views[0].crop[2]
-    clips = ops.empty_batch_innermost((len(views), t, c, size, size), 2)
-    for scale in dict.fromkeys(v.scale for v in views):
-        scaled = videofile.resize_frames(picked, scale)
-        for k, v in enumerate(views):
-            if v.scale == scale:
-                local = dataclasses.replace(v, frame_indices=tuple(at[i] for i in v.frame_indices))
-                clips[k] = materialize_view(scaled, local)
-        del scaled  # one scale's frames at a time
-    return clips
-
-
 def _view_probs(frames, views, params, mcfg) -> np.ndarray:
     """[num_views, C] probabilities for one video's views.
 
@@ -63,13 +37,29 @@ def _view_probs(frames, views, params, mcfg) -> np.ndarray:
     forwarded once and its row copied to every place it holds in the plan.
     The caller's mean then sees the same rows in the same order as if every
     view had been forwarded.
+    The frames the views use are picked once, as float64 and T innermost
+    (see `videofile`: u8 frames are converted there), and resized once per
+    scale; a chunk of views spans scales, so every scale's frames are kept.
+    Each chunk is then cut just before its forward: a view's crop and flip is
+    a view of its scale's resized frames, copied in one pass into its row of a
+    batch-innermost array (see `ops`) as runs of T values. resize_frames
+    treats every frame on its own, so the clips carry the same bits as
+    resizing view by view.
     """
     distinct = list(dict.fromkeys(views))
-    clips = _cut_clips(frames, distinct)
+    used = sorted({i for v in distinct for i in v.frame_indices})
+    at = {frame: k for k, frame in enumerate(used)}
+    picked = videofile.pick_frames(frames, used)
+    scaled = {s: videofile.resize_frames(picked, s) for s in dict.fromkeys(v.scale for v in distinct)}
+    t, c, size = len(views[0].frame_indices), frames.shape[3], views[0].crop[2]
     probs = []
-    for lo in range(0, len(clips), _FORWARD_CHUNK):
-        logits = backbone_forward(clips[lo : lo + _FORWARD_CHUNK], params, mcfg, training=False)
-        probs.append(predict_clip(logits))
+    for lo in range(0, len(distinct), _FORWARD_CHUNK):
+        chunk = distinct[lo : lo + _FORWARD_CHUNK]
+        clips = ops.empty_batch_innermost((len(chunk), t, c, size, size), 2)
+        for k, v in enumerate(chunk):
+            local = dataclasses.replace(v, frame_indices=tuple(at[i] for i in v.frame_indices))
+            clips[k] = materialize_view(scaled[v.scale], local)
+        probs.append(predict_clip(backbone_forward(clips, params, mcfg, training=False)))
     row = {v: k for k, v in enumerate(distinct)}
     return np.concatenate(probs, axis=0)[[row[v] for v in views]]
 
@@ -94,6 +84,13 @@ def evaluate_predictions(cfg, params, mcfg, data, mode: str = "clip") -> Predict
 
 
 def write_predictions(path, preds: PredictionMatrix) -> None:
+    """Write `preds` in the text format; an id that `read_predictions` would
+    not read back as itself fails before anything is written, so a previous
+    file at `path` stays as it was."""
+    for sample_id in preds.ids:
+        if any(ch in sample_id for ch in ",\r\n") or sample_id != sample_id.lstrip():
+            raise ValueError(f"prediction id {sample_id!r} would not read back from {path}: "
+                             "ids may hold no comma or line break, nor start with white space")
     with atomic_write(path, text=True) as fh:
         for sample_id, row in zip(preds.ids, preds.probs):
             fh.write(sample_id + "," + ",".join(f"{p:.9g}" for p in row) + "\n")

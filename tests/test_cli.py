@@ -167,6 +167,15 @@ class TestTrain:
         assert main(["train", "--lr", "0"]) == 1
         assert capsys.readouterr().err == "error: --lr: base_lr must be positive, got 0.0\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lr", "abc", "bad value for 'lr': 'abc' is not a decimal number"),
+        ("--channels", "8,,16", "bad value for 'channels': '' is not a decimal integer"),
+    ], ids=["lr", "channels"])
+    def test_flag_value_that_does_not_parse_is_named_by_its_flag(self, capsys, flag, value,
+                                                                 message):
+        assert main(["train", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+
     def test_rule_over_a_file_key_and_a_flag_names_both(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("lr = 0.1\ncrop = 32\n")
@@ -278,6 +287,24 @@ class TestEvalAndPredictions:
                                                          "--out", str(out)]) == 0
         preds = read_predictions(out)
         assert np.all(preds.probs >= 0) and np.all(preds.probs <= 1)
+
+    def test_id_with_a_comma_keeps_the_previous_prediction_file(self, dataset, trained,
+                                                                 tmp_path, capsys):
+        # a manifest splits on tabs, so a video path may hold a comma
+        row = (dataset / "val" / "manifest.tsv").read_text().splitlines()[0]
+        name, rest = row.split("\t", 1)
+        (tmp_path / "val").mkdir()
+        shutil.copy(dataset / name, tmp_path / "val" / "a,b.xvid")
+        manifest = tmp_path / "comma.tsv"
+        manifest.write_text(f"val/a,b.xvid\t{rest}\n")
+        out = tmp_path / "p.csv"
+        out.write_text("previous\n")
+        flags = train_flags(tmp_path, trained.parent, val_manifest=manifest)
+        assert main(["eval"] + flags + ["--checkpoint", str(trained), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: prediction id 'val/a,b.xvid' would not read back from {out}: "
+            "ids may hold no comma or line break, nor start with white space\n")
+        assert out.read_text() == "previous\n"
 
     def test_incompatible_checkpoint_is_validation_error(self, dataset, trained, tmp_path):
         flags = self.eval_flags(dataset, trained, channels="4,8")

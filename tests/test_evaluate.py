@@ -1,10 +1,12 @@
 """Dense evaluation against a one-view-at-a-time reference, the work it does
-per video, the prediction-file reader's input checks, and that evaluation
-imports without the training loop."""
+per video, the prediction-file reader's input checks, the ids the writer
+refuses, and that evaluation imports without the training loop."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from temporalkit import evaluate, videofile
 from temporalkit.config import RunConfig, clip_spec_from_config, model_config_from_run
+from temporalkit.metrics import PredictionMatrix
 from temporalkit.model import backbone_forward, init_params, predict_clip
 from temporalkit.sampling import dense_test_plan
 from temporalkit.synth import generate_dataset
@@ -108,6 +111,35 @@ def test_dense_resizes_once_per_scale_and_forwards_distinct_views(tmp_path, monk
     assert calls["rows"] == 7 * videos
 
 
+def test_dense_holds_one_chunk_of_cut_clips_at_a_time(tmp_path, monkeypatch):
+    cfg, data, mcfg, params = _setup(tmp_path, 64, "tsm", "strided")
+    clip_bytes = cfg.frames * data.in_channels * cfg.crop * cfg.crop * 8
+    forwarded = []
+
+    def forward(clips, *args, **kwargs):
+        # the buffer the clips live in, not a reference that would keep it alive
+        owner = clips
+        while owner.base is not None:
+            owner = owner.base
+        forwarded.append((len(clips), owner.nbytes))
+        return np.zeros((len(clips), cfg.classes))
+
+    monkeypatch.setattr(evaluate, "backbone_forward", forward)
+    tracemalloc.start()
+    try:
+        evaluate.evaluate_predictions(cfg, params, mcfg, data, mode="dense")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 10 strided clips, 3 scales, 3 crops at each of the two larger: 70 distinct views
+    assert sum(rows for rows, _ in forwarded) == 70 * len(data)
+    # each chunk is cut into its own buffer, of at most _FORWARD_CHUNK clips
+    for rows, nbytes in forwarded:
+        assert rows <= evaluate._FORWARD_CHUNK and nbytes == rows * clip_bytes
+    # no array holding every distinct view of a video's plan ever exists
+    assert peak < 70 * clip_bytes
+
+
 class TestReadPredictions:
     def test_ragged_row_names_the_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -139,6 +171,25 @@ class TestReadPredictions:
         path.write_text("a,0.1,0.2\nb,0.3,0.4\n\na,0.5,0.6\n")
         with pytest.raises(ValueError, match=r"dup\.csv:4: duplicate id 'a', first on line 1"):
             evaluate.read_predictions(path)
+
+
+class TestWritePredictions:
+    @pytest.mark.parametrize("bad", ["a,b.xvid", "a\nb.xvid", "a\rb.xvid", " a.xvid"])
+    def test_an_id_that_would_not_read_back_keeps_the_previous_file(self, tmp_path, bad):
+        path = tmp_path / "p.csv"
+        evaluate.write_predictions(path, PredictionMatrix(("x.xvid",), np.full((1, 2), 0.5)))
+        before = path.read_bytes()
+        preds = PredictionMatrix(("ok.xvid", bad, "b,c.xvid"), np.full((3, 2), 0.25))
+        with pytest.raises(ValueError, match=rf"^prediction id {re.escape(repr(bad))} would not"):
+            evaluate.write_predictions(path, preds)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["p.csv"]
+
+    def test_ids_read_back_as_written(self, tmp_path):
+        ids = ("v/a b.xvid", "v/c;d\t.xvid")
+        path = tmp_path / "p.csv"
+        evaluate.write_predictions(path, PredictionMatrix(ids, np.full((2, 2), 0.5)))
+        assert evaluate.read_predictions(path).ids == ids
 
 
 # Scores one in-memory video; the training loop must stay unloaded throughout.

@@ -2,7 +2,7 @@
 frame-major formulas.
 
 Decoded frames are [T,H,W,C] u8 arrays whose memory is (H,W,C,T). Dense
-eval's `_cut_clips` and training's `_build_batch` convert, resize and copy
+eval's `_view_probs` and training's `_build_batch` convert, resize and copy
 in that order. For seeded random views they must give, byte for byte, what
 `materialize_view` gives one view at a time on C-ordered frames, and what
 the frame-major resize below (each frame resized whole, then cropped and
@@ -85,18 +85,36 @@ def _bytes(clip):
     return np.ascontiguousarray(clip).tobytes()
 
 
+def forwarded_clips(monkeypatch, frames, views) -> list:
+    """The clip chunks dense eval's `_view_probs` passes to `backbone_forward`
+    for `views`, in call order, through a stand-in forward."""
+    chunks = []
+
+    def forward(clips, params, mcfg, training):
+        chunks.append(clips)
+        return np.zeros((len(clips), 1))
+
+    monkeypatch.setattr(evaluate, "backbone_forward", forward)
+    evaluate._view_probs(frames, views, None, None)
+    return chunks
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind,tau", SAMPLERS)
-def test_cut_clips_give_the_bytes_of_view_by_view_cuts(shape, kind, tau):
+def test_cut_clips_give_the_bytes_of_view_by_view_cuts(monkeypatch, shape, kind, tau):
     rng = np.random.default_rng([shape[0], shape[1], tau, len(kind)])
     frames = rng.random(shape)
     short = min(shape[1:3])
     views = random_views(rng, shape[0], kind, 6, tau, (short, short + 4, short + 9), 28, 40)
-    views += [dataclasses.replace(views[0], frame_indices=strided_clip_indices(
-        shape[0], shape[0] - 2, 6, tau))]  # clamped at the end of the video
-    clips = evaluate._cut_clips(t_innermost(frames), views)
-    assert clips.shape == (len(views), 6, shape[3], 28, 28)
-    for k, v in enumerate(views):
+    views += [dataclasses.replace(views[0], frame_indices=tuple(strided_clip_indices(
+        shape[0], shape[0] - 2, 6, tau)))]  # clamped at the end of the video
+    distinct = list(dict.fromkeys(views))
+    chunks = forwarded_clips(monkeypatch, t_innermost(frames), views)
+    assert [c.shape for c in chunks] == [
+        (min(evaluate._FORWARD_CHUNK, len(distinct) - lo), 6, shape[3], 28, 28)
+        for lo in range(0, len(distinct), evaluate._FORWARD_CHUNK)]
+    clips = [clip for chunk in chunks for clip in chunk]
+    for k, v in enumerate(distinct):
         want = _bytes(frame_major_view(frames, v))
         assert _bytes(materialize_view(frames, v)) == want, v
         assert _bytes(clips[k]) == want, v
@@ -189,7 +207,7 @@ def _evenly_forward(indices):
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("kind,tau", SAMPLERS)
-def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau):
+def test_u8_frames_give_the_bytes_of_their_float_pixels(monkeypatch, shape, kind, tau):
     rng = np.random.default_rng([shape[0], shape[3], tau, len(kind), 8])
     raw = rng.integers(0, 256, size=shape, dtype=np.uint8)
     u8, unit = t_innermost(raw), t_innermost(raw.astype(np.float64) / 255.0)
@@ -205,7 +223,8 @@ def test_u8_frames_give_the_bytes_of_their_float_pixels(shape, kind, tau):
         assert picked.dtype == np.float64 and is_t_innermost(picked)
         assert _bytes(picked) == _bytes(videofile.pick_frames(unit, v.frame_indices)), v
         assert _bytes(materialize_view(u8, v)) == _bytes(materialize_view(unit, v)), v
-    assert evaluate._cut_clips(u8, views).tobytes() == evaluate._cut_clips(unit, views).tobytes()
+    assert [c.tobytes() for c in forwarded_clips(monkeypatch, u8, views)] == \
+        [c.tobytes() for c in forwarded_clips(monkeypatch, unit, views)]
 
 
 def test_dataset_keeps_each_video_as_its_u8_bytes(tmp_path):

@@ -213,7 +213,8 @@ def data_root(tmp_path_factory):
 
 
 def _assembled(root: Path):
-    """(name, clips) from training's batch assembly and dense eval's cutting."""
+    """(name, clips) from training's batch assembly and from each chunk that
+    dense eval cuts and passes to `backbone_forward`."""
     cfg = _run_config(root, "none", batch=5)
     data = train.Dataset(cfg.train_manifest, root, cfg.classes)
     spec = clip_spec_from_config(cfg)
@@ -222,8 +223,17 @@ def _assembled(root: Path):
     val = train.Dataset(cfg.val_manifest, root, cfg.classes)
     plan = dense_test_plan(val.num_frames(0), spec, num_clips=10, crops_per_clip=3,
                            scales=cfg.scales, crop_size=cfg.crop)
-    cut = evaluate._cut_clips(val.frames(0), list(dict.fromkeys(plan)))
-    return [("_build_batch", built), ("_cut_clips", cut)]
+    chunks = []
+
+    def forward(clips, params, mcfg, training):
+        chunks.append(clips)
+        return np.zeros((len(clips), cfg.classes))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "backbone_forward", forward)
+        evaluate._view_probs(val.frames(0), list(plan), None, None)
+    assert sum(len(c) for c in chunks) == len(set(plan))
+    return [("_build_batch", built)] + [(f"_view_probs chunk {k}", c) for k, c in enumerate(chunks)]
 
 
 def test_batch_assembly_builds_clips_batch_innermost(data_root):

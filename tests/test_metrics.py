@@ -156,6 +156,14 @@ class TestMapEval:
         with pytest.raises(ValueError, match="'b'.*'c'|'c'"):
             map_eval(pm, lm, "sample")
 
+    @pytest.mark.parametrize("mode", ["sample", "class"])
+    def test_same_ids_in_another_order_are_misaligned(self, mode):
+        # the same set of ids is not enough: rows pair up by position
+        pm = PredictionMatrix(("a", "b", "c"), np.eye(3))
+        lm = LabelMatrix(("a", "c", "b"), np.eye(3))
+        with pytest.raises(ValueError, match=r"^misaligned ids: prediction 'b' vs label 'c'$"):
+            map_eval(pm, lm, mode)
+
     def test_no_positives_anywhere_rejected(self):
         pm = PredictionMatrix(("a",), np.array([[0.5]]))
         lm = LabelMatrix(("a",), np.array([[0.0]]))
