@@ -18,6 +18,7 @@ import numpy as np
 from .checkpoint import ITER_KEY, decimal_float, load_checkpoint, unpack_training_state
 from .config import SCHEMA, ConfigError, build_config, model_config_from_run, parse_value
 from .evaluate import (
+    check_prediction_ids,
     evaluate_predictions,
     labels_for_ids,
     read_predictions,
@@ -77,6 +78,8 @@ def cmd_eval(args) -> int:
     if not manifest:
         raise ConfigError("eval needs val_manifest (or train_manifest)", ("val_manifest",))
     data = Dataset(manifest, cfg.resolve_data_root(), cfg.classes)
+    if args.out:
+        check_prediction_ids(data.ids, args.out)
     mcfg = model_config_from_run(cfg, data.in_channels)
     params = load_params_for_eval(cfg, mcfg, args.checkpoint)
     preds = evaluate_predictions(cfg, params, mcfg, data, mode=args.mode)

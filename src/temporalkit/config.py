@@ -201,10 +201,6 @@ def _read_config_file(path) -> tuple[dict, dict]:
     return values, lines
 
 
-def parse_config_file(path) -> dict:
-    return _read_config_file(path)[0]
-
-
 def build_config(file_path=None, overrides=None) -> RunConfig:
     """File values first, CLI overrides on top, then validate as a whole. A
     validation error names the file lines and the flags that set the

@@ -83,14 +83,20 @@ def evaluate_predictions(cfg, params, mcfg, data, mode: str = "clip") -> Predict
     return PredictionMatrix(data.ids, np.stack(rows))
 
 
+def check_prediction_ids(ids, path) -> None:
+    """Refuse the first id that `read_predictions` would not read back from
+    `path` as itself."""
+    for sample_id in ids:
+        if any(ch in sample_id for ch in ",\r\n") or sample_id != sample_id.lstrip():
+            raise ValueError(f"prediction id {sample_id!r} would not read back from {path}: "
+                             "ids may hold no comma or line break, nor start with white space")
+
+
 def write_predictions(path, preds: PredictionMatrix) -> None:
     """Write `preds` in the text format; an id that `read_predictions` would
     not read back as itself fails before anything is written, so a previous
     file at `path` stays as it was."""
-    for sample_id in preds.ids:
-        if any(ch in sample_id for ch in ",\r\n") or sample_id != sample_id.lstrip():
-            raise ValueError(f"prediction id {sample_id!r} would not read back from {path}: "
-                             "ids may hold no comma or line break, nor start with white space")
+    check_prediction_ids(preds.ids, path)
     with atomic_write(path, text=True) as fh:
         for sample_id, row in zip(preds.ids, preds.probs):
             fh.write(sample_id + "," + ",".join(f"{p:.9g}" for p in row) + "\n")

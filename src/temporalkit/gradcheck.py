@@ -16,37 +16,60 @@ passed and may read it through any alias (a ParamStore holding it, say).
 - _vjp_error(f, args, grads, r) is the per-op comparison: one fd_gradient
   per argument, in argument order, on the loss sum(f(*args) * r), or on
   the scalar f(*args) itself for the losses.
-- _fd_errors(loss, pairs) is the whole-network comparison: the offset
-  net's feature map and weights, and every parameter of the micro-model,
-  as (analytic, array, *args) tuples, each array's FD gradient taken of
-  the scalar loss(*args). _model_grads is the micro-model's one
-  forward/loss/backward set-up.
+- _fd_errors(pairs) is the whole-network comparison: the offset net's
+  feature map and weights, and every parameter of the micro-model, as
+  (analytic, job) pairs, each job's FD gradient from fd_gradients.
+  _model_grads is the micro-model's one forward/loss/backward set-up.
+
+A job (f, x) is fd_gradient's loop: two evaluations of the scalar f per
+coordinate of x. A job (variant, losses_of, x) is fd_gradient_batched: it
+perturbs x in the same order, keeps variant(x) of each perturbation, and
+hands the +H variants, then the -H ones, to losses_of at once. That pays
+where a perturbation of x stays in its own sample, so the variants stack
+along the batch axis and one forward per sign serves them all. Every op on the way
+works sample by sample, and the stacked logits are cut back into each
+variant's rows before its loss. So each loss, and (fp - fm) / (2 * H),
+keeps the bits of fd_gradient's as long as the BLAS gives a GEMM's rows
+and columns the same bits in a larger call, as OpenBLAS does at these
+shapes. tests/test_gradcheck.py checks that byte for byte for every
+batched array, so a BLAS that broke it fails there.
 
 The set-up forward keeps each model stage's input and each block layer's
-output (see model), and the micro-model's loss takes the stage and layer
-to start at. check_model_all_params gives each parameter the loss that
-resumes where it is first read: the stem's at stage 0 (the whole forward,
-on the clip), the head's at the last stage on the last block's kept
-output, and block i's at stage i + 1 on block i's kept input, from the
-parameter's own layer. The offset net's weights start at the temporal
-layer, on the kept pooled frame feature; conv1's at conv1, on the kept
-temporal output; conv2's at conv2; and the skip's at the skip, on the
-kept conv2 output. Every block layer but the skip's reuses the kept skip
+output (see model). check_model_all_params gives each parameter the loss
+that resumes where it is first read: the stem's at stage 0 (the whole
+forward, on the clip), the head's at the last stage on the last block's
+kept output, and block i's at stage i + 1 on block i's kept input, from
+the parameter's own layer: conv1's at conv1, on the kept interlaced or
+shifted output; conv2's at conv2; and the skip's at the skip, on the kept
+conv2 output. Every block layer but the skip's reuses the kept skip
 output. A perturbed parameter cannot change what is read before it, so
 the resumed forward runs the same ops on the same arrays as the whole
 one, and every FD value and max_error keeps its bits; only the reruns of
 the earlier stages and layers are skipped. The directional probe perturbs
 every parameter at once, so it always runs the whole forward.
 
-_fd_errors takes its FD gradients from fd_gradients. When the process may
-use more than one CPU (ops' lane rule) and os.fork exists, it splits the
-arrays into two halves of about equal coordinate count, largest first, and
-a forked child computes one half while this process computes the other.
-Each value is the same evaluation of the same f on a copy-on-write copy of
-the same arrays, so the results keep the bits of the serial loop. If the
-child fails, this process computes its half itself. With one CPU or no
-fork, it is the serial loop. The per-op checks call fd_gradient directly:
-at 0.2-7 ms a case, a fork would not pay.
+The offset net's weights reach the rest of the network only through
+their block's per-sample offsets [N,G] and frame weights [N,G,T]. So each
+of their arrays is a batched job: a variant is the block's offset MLP run
+on the kept pooled frame feature, and losses_of stacks the variants'
+offsets and weights, with as many copies of the block's kept input and
+skip output, resumes the block at its interlacing, runs the later stages
+and the head once per sign, and takes bce_scaled on each variant's N
+rows. The
+offset net check batches its feature map the same way, since a feature
+perturbation stays in its sample; the net's own weights are read by every
+sample, so they keep fd_gradient.
+
+fd_gradients computes the jobs. When the process may use more than one
+CPU (ops' lane rule) and os.fork exists, it splits them into two halves
+of about equal estimated cost, costliest first, in forwards: two per
+coordinate of a loop job, two for a batched one. A forked child computes
+one half while this process computes the other. Each value is the same
+evaluation of the same f on a copy-on-write copy of the same arrays, so
+the results keep the bits of the serial loop. If the child fails, this
+process computes its half itself. With one CPU or no fork, it is the
+serial loop. The per-op checks call fd_gradient directly: at 0.2-7 ms a
+case, a fork would not pay.
 """
 
 from __future__ import annotations
@@ -59,6 +82,7 @@ import numpy as np
 from . import losses, ops
 from .model import (
     ModelConfig,
+    _offset_weight_mlp,
     backbone_backward,
     backbone_forward,
     forward_from_stage,
@@ -144,43 +168,80 @@ def fd_gradient(f, x) -> np.ndarray:
     return g
 
 
-def _halves(sizes) -> tuple[list[int], list[int]]:
-    """Job indices split into two halves of about equal total size, the
-    largest assigned first. The first half is the parent's."""
+def fd_gradient_batched(variant, losses_of, x) -> np.ndarray:
+    """fd_gradient(lambda v: losses_of([variant(v)])[0], x), bit for bit,
+    with one call of losses_of on the +H variants and one on the -H ones.
+
+    x is perturbed in place as fd_gradient perturbs it, and variant(x) reads
+    each perturbation; it must return arrays of its own, not views of x.
+    losses_of(outs) gives each variant's loss, in order. The values equal
+    fd_gradient's when each loss equals the one of its variant alone (see
+    the module docstring).
+    """
+    x = _float64(x)
+    plus, minus = [], []
+    for idx in np.ndindex(x.shape):
+        old = x[idx]
+        try:
+            x[idx] = old + H
+            plus.append(variant(x))
+            x[idx] = old - H
+            minus.append(variant(x))
+        finally:
+            x[idx] = old
+    fp, fm = (np.asarray(losses_of(outs), dtype=np.float64) for outs in (plus, minus))
+    return ((fp - fm) / (2.0 * H)).reshape(x.shape)
+
+
+def _halves(costs) -> tuple[list[int], list[int]]:
+    """Job indices split into two halves of about equal total cost, the
+    costliest assigned first. The first half is the parent's."""
     halves, loads = ([], []), [0, 0]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
         side = 0 if loads[0] <= loads[1] else 1
         halves[side].append(i)
-        loads[side] += sizes[i]
+        loads[side] += costs[i]
     return halves
 
 
+def _cost(job) -> int:
+    """A job's forwards: two per coordinate of fd_gradient's loop, and two
+    stacked ones for a batched job."""
+    return 2 * job[-1].size if len(job) == 2 else 2
+
+
+def _fd(job) -> np.ndarray:
+    return fd_gradient(*job) if len(job) == 2 else fd_gradient_batched(*job)
+
+
 def fd_gradients(jobs) -> list[np.ndarray]:
-    """[fd_gradient(f, x) for f, x in jobs], bit for bit, with a forked
-    child computing about half of the coordinates when this process may use
-    more than one CPU (see the module docstring).
+    """The FD gradient of each job, bit for bit as the serial loop gives it:
+    fd_gradient(f, x) for a job (f, x), fd_gradient_batched(variant,
+    losses_of, x) for a job (variant, losses_of, x). When this process may
+    use more than one CPU, a forked child computes the jobs of about half
+    the estimated cost (see the module docstring).
 
     The child sends its gradients back through a pipe as float64 bytes. If it
     fails or its bytes are short, this process computes its jobs too, so an
-    exception in f surfaces here with its usual traceback. If this process's
-    own half raises, the child is killed and reaped first.
+    exception in a loss surfaces here with its usual traceback. If this
+    process's own half raises, the child is killed and reaped first.
     """
-    jobs = [(f, _float64(x)) for f, x in jobs]
-    mine, theirs = _halves([x.size for _, x in jobs])
+    jobs = [(*job[:-1], _float64(job[-1])) for job in jobs]
+    mine, theirs = _halves([_cost(job) for job in jobs])
     if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
-        return [fd_gradient(f, x) for f, x in jobs]
+        return [_fd(job) for job in jobs]
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the serial loop
         os.close(read_end)
         os.close(write_end)
-        return [fd_gradient(f, x) for f, x in jobs]
+        return [_fd(job) for job in jobs]
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = b"".join(fd_gradient(*jobs[i]).tobytes() for i in theirs)
+            data = b"".join(_fd(jobs[i]).tobytes() for i in theirs)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -190,7 +251,7 @@ def fd_gradients(jobs) -> list[np.ndarray]:
     out = [None] * len(jobs)
     try:
         for i in mine:
-            out[i] = fd_gradient(*jobs[i])
+            out[i] = _fd(jobs[i])
     except BaseException:
         # imported here, so that importing this module (the set-up time of a
         # gradcheck run) loads nothing beyond numpy and the package
@@ -203,14 +264,14 @@ def fd_gradients(jobs) -> list[np.ndarray]:
     with os.fdopen(read_end, "rb") as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
-    sizes = [jobs[i][1].size for i in theirs]
+    sizes = [jobs[i][-1].size for i in theirs]
     if status != 0 or len(data) != 8 * sum(sizes):
         for i in theirs:
-            out[i] = fd_gradient(*jobs[i])
+            out[i] = _fd(jobs[i])
         return out
     flat = np.frombuffer(bytearray(data), dtype=np.float64)
     for i, part in zip(theirs, np.split(flat, np.cumsum(sizes)[:-1])):
-        out[i] = part.reshape(jobs[i][1].shape)
+        out[i] = part.reshape(jobs[i][-1].shape)
     return out
 
 
@@ -226,12 +287,11 @@ def _vjp_error(f, args, grads, r=None) -> float:
                   for g, x in zip(grads, args, strict=True))
 
 
-def _fd_errors(loss, pairs) -> float:
-    """The worst scaled error of each (analytic, array, *args) tuple against
-    the FD gradient of the scalar loss(*args) w.r.t. that array, from
-    fd_gradients."""
-    nums = fd_gradients([(lambda _v, args=args: loss(*args), x) for _, x, *args in pairs])
-    return _worst(scaled_error(a, n) for (a, *_), n in zip(pairs, nums))
+def _fd_errors(pairs) -> float:
+    """The worst scaled error of each (analytic, job) pair against the job's
+    FD gradient from fd_gradients."""
+    nums = fd_gradients([job for _, job in pairs])
+    return _worst(scaled_error(a, n) for (a, _), n in zip(pairs, nums))
 
 
 def _away_from_zero(arr, eps=2e-2):
@@ -391,13 +451,16 @@ def check_offset_net(seed: int) -> float:
     r_off = rng.normal(size=(2, 2))
     r_wts = rng.normal(size=(2, 2, 4))
 
-    def loss():
-        ip, _ = offset_weight_net_forward(feat, params, cfg, prefix)
-        return float((ip.offsets * r_off).sum() + (ip.weights * r_wts).sum())
+    def losses_of(feats):
+        ip, _ = offset_weight_net_forward(np.concatenate(feats), params, cfg, prefix)
+        return [float((ip.offsets[j:j + 2] * r_off).sum() + (ip.weights[j:j + 2] * r_wts).sum())
+                for j in range(0, 2 * len(feats), 2)]
 
     g_feat = offset_weight_net_backward(r_off, r_wts, cache, params, cfg, prefix)
-    return _fd_errors(loss, [(g_feat, feat)]
-                      + [(params.grads[name], params.values[name]) for name in names])
+    # the net's weights are read by every sample, so their variants do not stack
+    return _fd_errors([(g_feat, (np.copy, losses_of, feat))]
+                      + [(params.grads[name], (lambda _v: losses_of([feat])[0], params[name]))
+                         for name in names])
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +492,46 @@ def _model_loss(params, cfg, x, targets, lcfg, stage: int = 0, layer=None, kept=
 
 
 def _model_grads(mode: str, seed: int, channels=(4, 6)):
-    """A micro-model with its loss's analytic gradients in params.grads, and
-    that loss as a function of the stage and layer its forward starts at (by
-    default the whole forward), reading params in place. A later stage or
-    layer resumes from what the set-up forward kept."""
+    """A micro-model with its loss's analytic gradients in params.grads; that
+    loss, the whole forward reading params in place; and fd_job(name), the
+    FD job of parameter `name`, whose forwards resume from what the set-up
+    forward kept (see the module docstring)."""
     cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
     cache, kept = {}, {}
     logits = forward_from_stage(0, clip, params, cfg, cache=cache, kept=kept)
     _, g_logits = losses.bce_scaled(logits, targets, lcfg)
     backbone_backward(g_logits, cache, params, cfg)
-    return params, cfg, lambda s=0, layer=None: _model_loss(params, cfg, kept[s], targets, lcfg,
-                                                            s, layer, kept)
+
+    def fd_job(name):
+        stage, layer = stage_of(name, cfg)
+        x, block = kept[stage], f"block{stage - 1}."
+        if layer != "offsets":
+            return (lambda _v: _model_loss(params, cfg, x, targets, lcfg, stage, layer, kept),
+                    params[name])
+        n = x.shape[0]
+
+        def variant(_v):
+            return _offset_weight_mlp(kept[block + "pool"], x.shape, params, cfg,
+                                      block + "tin.")[0]
+
+        def losses_of(ips):
+            offsets, weights = (np.concatenate(a) for a in zip(*[(ip.offsets, ip.weights)
+                                                                 for ip in ips]))
+            stacked = {block + "offsets": InterlaceParams(offsets, weights, cfg.delta_max),
+                       block + "skip": np.concatenate([kept[block + "skip"]] * len(ips))}
+            logits = forward_from_stage(stage, np.concatenate([x] * len(ips)), params, cfg,
+                                        kept=stacked, layer="temporal")
+            return [losses.bce_scaled(logits[j:j + n], targets, lcfg)[0]
+                    for j in range(0, len(logits), n)]
+
+        return variant, losses_of, params[name]
+
+    return params, lambda: _model_loss(params, cfg, clip, targets, lcfg), fd_job
 
 
 def check_model_directional(seed: int, mode: str = "tin") -> float:
     """One random-direction FD probe through the whole micro-model."""
-    params, _, loss = _model_grads(mode, seed % 5)
+    params, loss, _ = _model_grads(mode, seed % 5)
     rng = np.random.default_rng(seed + 1000)
     direction = {n: rng.normal(size=v.shape) for n, v in params.values.items()}
     norm = np.sqrt(sum(float((d * d).sum()) for d in direction.values()))
@@ -463,10 +550,10 @@ def check_model_directional(seed: int, mode: str = "tin") -> float:
 
 def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     """Exhaustive per-parameter FD over a smaller micro-model. Each
-    parameter's loss resumes at the stage and layer that read it."""
-    params, cfg, loss = _model_grads(mode, seed, channels=(2, 3))
-    return _fd_errors(loss, [(params.grads[n], params.values[n], *stage_of(n, cfg))
-                             for n in params.names()])
+    parameter's loss resumes at the stage and layer that read it; the
+    offset net's arrays run as batched jobs."""
+    params, _, fd_job = _model_grads(mode, seed, channels=(2, 3))
+    return _fd_errors([(params.grads[n], fd_job(n)) for n in params.names()])
 
 
 # ---------------------------------------------------------------------------

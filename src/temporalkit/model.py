@@ -15,9 +15,10 @@ exact no-op: its logits match the temporal-mode-free model bit for bit.
 The forward runs in stages: the stem is stage 0, block i is stage i + 1,
 and the head (pool, dropout, linear, consensus) is the last. A block runs
 in named layers (`BLOCK_LAYERS`): `pool`, the offset net's pooled frame
-feature (tin only); `temporal`, the offset net's MLP and the interlacing,
-the tsm shift or nothing; `conv1` with its relu; `conv2`; and `skip`, the
-strided 1x1 conv of the block's input. Its output is conv2's plus skip's.
+feature, and `offsets`, its MLP's per-sample interlace offsets and frame
+weights (both tin only); `temporal`, the interlacing, the tsm shift or
+nothing; `conv1` with its relu; `conv2`; and `skip`, the strided 1x1 conv
+of the block's input. Its output is conv2's plus skip's.
 A stage reads only its input and its own parameters, and a layer only its
 inputs and its own parameters, so `forward_from_stage` can resume at any
 stage, or at any layer of a block, from what an earlier forward kept, with
@@ -57,7 +58,7 @@ from .temporal import (
 TEMPORAL_MODES = ("none", "tsm", "tin")
 HEAD_MODES = ("pool", "consensus")
 OFFSET_NET_HIDDEN = 16  # width of the offset/weight generator's hidden layer
-BLOCK_LAYERS = ("pool", "temporal", "conv1", "conv2", "skip")
+BLOCK_LAYERS = ("pool", "offsets", "temporal", "conv1", "conv2", "skip")
 
 
 @dataclass
@@ -290,12 +291,17 @@ def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache, kept=None,
     both), so backward passes `r1` as both of the relu's saved tensors and
     `a1` is not kept."""
     name = f"block{i}."
-    if layer > 1:
+    m = iparams = None
+    if layer > 2:
         xt = kept[name + "temporal"]
     elif cfg.temporal_mode == "tin":
         prefix = name + "tin."
-        iparams, ocache = (_offset_weight_mlp(kept[name + "pool"], x.shape, params, cfg, prefix)
-                           if layer else offset_weight_net_forward(x, params, cfg, prefix))
+        if layer == 2:
+            iparams, ocache = kept[name + "offsets"], None
+        else:
+            iparams, ocache = (_offset_weight_mlp(kept[name + "pool"], x.shape, params, cfg, prefix)
+                               if layer else offset_weight_net_forward(x, params, cfg, prefix))
+            m = ocache["m"]
         groups = GroupSpec.even(x.shape[2], cfg.num_groups)
         if cache is not None:
             cache[name + "tin"] = (x, groups, iparams, ocache)
@@ -304,17 +310,16 @@ def _block_forward(x, i, params: ParamStore, cfg: ModelConfig, cache, kept=None,
         xt = tsm_shift(x, ShiftSpec(cfg.fold))
     else:
         xt = x
-    if layer > 2:
+    if layer > 3:
         r1 = kept[name + "conv1"]
     else:
         r1 = ops.activation(_conv(xt, params, name + "conv1", 2, 1, cache), "relu")
         if cache is not None:
             cache[name + "relu1"] = r1
-    a2 = kept[name + "conv2"] if layer > 3 else _conv(r1, params, name + "conv2", 1, 1, cache)
-    skip = kept[name + "skip"] if 0 < layer < 4 else _conv(x, params, name + "skip", 2, 0, cache)
+    a2 = kept[name + "conv2"] if layer > 4 else _conv(r1, params, name + "conv2", 1, 1, cache)
+    skip = kept[name + "skip"] if 0 < layer < 5 else _conv(x, params, name + "skip", 2, 0, cache)
     if kept is not None and not layer:
-        outputs = (ocache["m"] if cfg.temporal_mode == "tin" else None, xt, r1, a2, skip)
-        kept.update((name + k, v) for k, v in zip(BLOCK_LAYERS, outputs))
+        kept.update((name + k, v) for k, v in zip(BLOCK_LAYERS, (m, iparams, xt, r1, a2, skip)))
     return a2 + skip
 
 
@@ -376,7 +381,7 @@ def stage_of(name: str, cfg: ModelConfig) -> tuple[int, str | None]:
     first, part = (name.split(".") + [""])[:2]
     stages = {"stem": 0, "head": cfg.num_blocks + 1} | {f"block{i}": i + 1
                                                         for i in range(cfg.num_blocks)}
-    layer = {"conv1": "conv1", "conv2": "conv2", "skip": "skip", "tin": "temporal"}.get(part)
+    layer = {"conv1": "conv1", "conv2": "conv2", "skip": "skip", "tin": "offsets"}.get(part)
     if first not in stages or first.startswith("block") != (layer is not None):
         raise ValueError(f"{name!r} is not a parameter of the model: stem, head and "
                          f"block0..block{cfg.num_blocks - 1}'s conv1, conv2, skip and tin")

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from temporalkit import evaluate
 from temporalkit.checkpoint import load_checkpoint, unpack_training_state
 from temporalkit.cli import main
 from temporalkit.evaluate import read_predictions, write_predictions
@@ -289,7 +290,7 @@ class TestEvalAndPredictions:
         assert np.all(preds.probs >= 0) and np.all(preds.probs <= 1)
 
     def test_id_with_a_comma_keeps_the_previous_prediction_file(self, dataset, trained,
-                                                                 tmp_path, capsys):
+                                                                 tmp_path, capsys, monkeypatch):
         # a manifest splits on tabs, so a video path may hold a comma
         row = (dataset / "val" / "manifest.tsv").read_text().splitlines()[0]
         name, rest = row.split("\t", 1)
@@ -299,12 +300,17 @@ class TestEvalAndPredictions:
         manifest.write_text(f"val/a,b.xvid\t{rest}\n")
         out = tmp_path / "p.csv"
         out.write_text("previous\n")
+        forwards = []
+        real = evaluate.backbone_forward
+        monkeypatch.setattr(evaluate, "backbone_forward",
+                            lambda *a, **kw: forwards.append(1) or real(*a, **kw))
         flags = train_flags(tmp_path, trained.parent, val_manifest=manifest)
         assert main(["eval"] + flags + ["--checkpoint", str(trained), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"error: prediction id 'val/a,b.xvid' would not read back from {out}: "
             "ids may hold no comma or line break, nor start with white space\n")
         assert out.read_text() == "previous\n"
+        assert forwards == []  # the ids are checked before any video is scored
 
     def test_incompatible_checkpoint_is_validation_error(self, dataset, trained, tmp_path):
         flags = self.eval_flags(dataset, trained, channels="4,8")

@@ -4,9 +4,9 @@ from temporalkit.config import (
     DATA_ROOT_ENV,
     ConfigError,
     RunConfig,
+    _read_config_file,
     build_config,
     model_config_from_run,
-    parse_config_file,
     parse_value,
 )
 
@@ -29,7 +29,7 @@ def test_parse_file_with_comments_and_overrides(tmp_path):
         flip = true
         """
     )
-    values = parse_config_file(path)
+    values, _ = _read_config_file(path)
     assert values == {"temporal_mode": "tin", "lr": 0.01, "scales": (32, 36, 40), "flip": True}
 
     cfg = build_config(path, {"lr": 0.5})
@@ -41,7 +41,7 @@ def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("learning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
-        parse_config_file(path)
+        build_config(path)
 
 
 def test_bad_value_rejected():
@@ -55,7 +55,7 @@ def test_missing_equals_rejected(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("temporal_mode tin\n")
     with pytest.raises(ConfigError, match="key=value"):
-        parse_config_file(path)
+        build_config(path)
 
 
 def test_validation_crop_vs_scales():

@@ -1,5 +1,7 @@
 import functools
+import inspect
 import os
+import textwrap
 import subprocess
 import sys
 from collections import Counter
@@ -182,10 +184,10 @@ def test_one_cpu_never_forks(monkeypatch):
 
 
 def test_sign_error_on_the_childs_half_is_caught(forks, monkeypatch):
-    _, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
+    params, _, fd_job = gc._model_grads("tin", 7, channels=(2, 3))
     names = params.names()
-    _, theirs = gc._halves([params.values[n].size for n in names])
-    name = "block0.tin.offs.weight"
+    _, theirs = gc._halves([gc._cost(fd_job(n)) for n in names])
+    name = "block0.tin.trunk.weight"  # a batched job
     assert names.index(name) in theirs
     real = gc.backbone_backward
 
@@ -290,25 +292,32 @@ def test_fd_gradient_refuses_an_array_that_is_not_float64(dtype):
 def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
     # perfbench's gradcheck.fd_gradient.calls counts these calls
     calls = []
-    real = gc.fd_gradient
 
-    def counted(f, x):
-        calls.append(1)
-        return real(f, x)
+    def counted(kind):
+        real = getattr(gc, kind)
+
+        def call(*args):
+            calls.append(kind)
+            return real(*args)
+        return call
 
     monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # offset_net's jobs all run here
-    monkeypatch.setattr(gc, "fd_gradient", counted)
+    for kind in ("fd_gradient", "fd_gradient_batched"):
+        monkeypatch.setattr(gc, kind, counted(kind))
     params = gc.init_params(gc.ModelConfig(frames=4, in_channels=3, height=3, width=3,
                                            num_classes=2, temporal_mode="tin", num_groups=2,
                                            channels=(3,), dropout=0.0), 0)
-    offset_net_jobs = 1 + sum(".tin." in name for name in params.names())
+    offset_net_weights = sum(".tin." in name for name in params.names())
     counts = {}
     for name, check in gc.OP_CHECKS.items():
         calls.clear()
         check(0)
-        counts[name] = len(calls)
-    want = {name: 1 for name in gc.OP_CHECKS}
-    want.update(conv2d=3, linear=3, interlace=3, offset_net=offset_net_jobs)
+        counts[name] = Counter(calls)
+    want = {name: {"fd_gradient": 1} for name in gc.OP_CHECKS}
+    want.update(conv2d={"fd_gradient": 3}, linear={"fd_gradient": 3},
+                interlace={"fd_gradient": 3},
+                # the feature map's perturbations stay in their samples: one batched job
+                offset_net={"fd_gradient": offset_net_weights, "fd_gradient_batched": 1})
     assert counts == want
 
 
@@ -323,8 +332,9 @@ def _whole_forward_reference(mode, seed):
     cfg, params, clip, targets, lcfg = gc._micro_model(mode, seed, channels=(2, 3))
     logits, cache = gc.backbone_forward(clip, params, cfg, return_cache=True)
     gc.backbone_backward(gc.losses.bce_scaled(logits, targets, lcfg)[1], cache, params, cfg)
-    pairs = [(params.grads[n], params.values[n]) for n in params.names()]
-    return gc._fd_errors(lambda: gc._model_loss(params, cfg, clip, targets, lcfg), pairs).hex()
+    pairs = [(params.grads[n], (lambda _v: gc._model_loss(params, cfg, clip, targets, lcfg),
+                                params.values[n])) for n in params.names()]
+    return gc._fd_errors(pairs).hex()
 
 
 @pytest.mark.parametrize("lane", [True, False], ids=["fork", "serial"])
@@ -425,20 +435,25 @@ def test_a_name_that_is_not_a_parameter_fails_by_name(name):
 
 def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
     cfg, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
-    coords = Counter()
+    coords, arrays = Counter(), Counter()
     for name in params.names():
         coords[gc.stage_of(name, cfg)] += params[name].size
-    assert coords == {(0, None): 20, (1, "temporal"): 250, (1, "conv1"): 38, (1, "conv2"): 38,
-                      (1, "skip"): 6, (2, "temporal"): 250, (2, "conv1"): 57, (2, "conv2"): 84,
+        arrays[gc.stage_of(name, cfg)] += 1
+    assert coords == {(0, None): 20, (1, "offsets"): 250, (1, "conv1"): 38, (1, "conv2"): 38,
+                      (1, "skip"): 6, (2, "offsets"): 250, (2, "conv1"): 57, (2, "conv2"): 84,
                       (2, "skip"): 9, (3, None): 12}
     # per resume point, the (stem, conv1, conv2, skip) convs and the
     # interlacings its loss reruns: a block's skip output is kept for every
-    # layer but the skip, its conv2 output for the skip
-    reruns = {(0, None): (1, 2, 2, 2, 2), (1, "temporal"): (0, 2, 2, 1, 2),
+    # layer but the skip, its conv2 output for the skip. An offset-net
+    # array's variants resume at the interlacing in one stacked forward
+    # for the +H steps and one for the -H steps.
+    reruns = {(0, None): (1, 2, 2, 2, 2), (1, "offsets"): (0, 2, 2, 1, 2),
               (1, "conv1"): (0, 2, 2, 1, 1), (1, "conv2"): (0, 1, 2, 1, 1),
-              (1, "skip"): (0, 1, 1, 2, 1), (2, "temporal"): (0, 1, 1, 0, 1),
+              (1, "skip"): (0, 1, 1, 2, 1), (2, "offsets"): (0, 1, 1, 0, 1),
               (2, "conv1"): (0, 1, 1, 0, 0), (2, "conv2"): (0, 0, 1, 0, 0),
               (2, "skip"): (0, 0, 0, 1, 0), (3, None): (0, 0, 0, 0, 0)}
+    forwards = {point: 2 * (arrays[point] if point[1] == "offsets" else n)
+                for point, n in coords.items()}
     calls = Counter()
     real_conv, real_interlace = ops.conv2d_with_cols, model.interlace_forward
 
@@ -457,11 +472,141 @@ def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
     monkeypatch.setattr(model, "interlace_forward", interlace)
     gc.check_model_all_params("tin")
     setup = (1, 2, 2, 2, 2)  # the one unperturbed forward
-    want = {layer: setup[j] + 2 * sum(n * reruns[point][j] for point, n in coords.items())
+    want = {layer: setup[j] + sum(k * reruns[point][j] for point, k in forwards.items())
             for j, layer in enumerate(("stem", "conv1", "conv2", "skip", "interlace"))}
-    assert want == {"stem": 41, "conv1": 1936, "conv2": 2180, "skip": 776, "interlace": 1746}
+    assert want == {"stem": 41, "conv1": 472, "conv2": 716, "skip": 288, "interlace": 282}
     assert calls == want
     # per parameter group, its coordinates times the convs its loss reruns:
-    # the stem, block 0's offset net and conv1, its conv2 and skip, and the same of block 1
+    # the stem, block 0's conv1, its conv2 and skip, and the same of block 1;
+    # and block 0's and block 1's six offset-net arrays, two forwards each
     convs = sum(calls.values()) - calls["interlace"]
-    assert convs == 7 + 2 * (20 * 7 + 288 * 5 + 44 * 4 + 307 * 2 + 93 * 1)
+    assert convs == 7 + 2 * (20 * 7 + 38 * 5 + 44 * 4 + 57 * 2 + 93 * 1) + 12 * 5 + 12 * 2
+
+
+# ---------------------------------------------------------------------------
+# batched finite differences: the offset net's weights and feature map
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_batched_offset_net_fd_keeps_the_bits_of_fd_gradient(seed):
+    params, _, fd_job = gc._model_grads("tin", seed, channels=(2, 3))
+    cfg, ref, clip, targets, lcfg = gc._micro_model("tin", seed, channels=(2, 3))
+    kept = {}
+    gc.forward_from_stage(0, clip, ref, cfg, kept=kept)
+    names = [n for n in params.names() if ".tin." in n]
+    assert len(names) == 12
+    for name in names:
+        stage, layer = gc.stage_of(name, cfg)
+        job = fd_job(name)
+        assert layer == "offsets" and len(job) == 3 and job[-1] is params[name]
+        got = gc.fd_gradient_batched(*job).tobytes()
+        resumed = gc.fd_gradient(
+            lambda _v: gc._model_loss(ref, cfg, kept[stage], targets, lcfg, stage, layer, kept),
+            ref[name])
+        whole = gc.fd_gradient(lambda _v: gc._model_loss(ref, cfg, clip, targets, lcfg),
+                               ref[name])
+        assert got == resumed.tobytes() == whole.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [0, 1855, 4242])
+def test_batched_feature_fd_of_the_offset_net_keeps_the_bits_of_fd_gradient(seed, monkeypatch):
+    jobs = []
+    real = gc.fd_gradients
+    monkeypatch.setattr(gc, "fd_gradients", lambda js: jobs.extend(js) or real(js))
+    gc.check_offset_net(seed)
+    (variant, losses_of, feat), = [job for job in jobs if len(job) == 3]
+    assert feat.shape == (2, 4, 3, 3, 3)
+    want = gc.fd_gradient(lambda v: losses_of([variant(v)])[0], feat)
+    assert gc.fd_gradient_batched(variant, losses_of, feat).tobytes() == want.tobytes()
+
+
+def _mutant(fn, old, new):
+    """fn compiled again from its source with the text `old` made `new`."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def _flipped_offsets(real):
+    def flipped(gy, x, groups, params):
+        gx, goff, gw = real(gy, x, groups, params)
+        return gx, -goff, gw
+    return flipped
+
+
+@pytest.mark.parametrize("plant", ["delta_max", "offset_sign"])
+def test_a_bug_on_the_offset_path_fails_the_batched_check(plant, monkeypatch):
+    if plant == "delta_max":  # the tanh head's scale left out of the offsets' gradient
+        monkeypatch.setattr(model, "offset_weight_net_backward",
+                            _mutant(model.offset_weight_net_backward,
+                                    "as_f64(g_offsets) * cfg.delta_max", "as_f64(g_offsets)"))
+    else:
+        monkeypatch.setattr(model, "interlace_backward", _flipped_offsets(model.interlace_backward))
+    batched = []
+    real = gc.fd_gradient_batched
+
+    def counted(*job):
+        batched.append(job[-1].size)
+        return real(*job)
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # every job runs here, counted
+    monkeypatch.setattr(gc, "fd_gradient_batched", counted)
+    assert gc.check_model_all_params("tin") > gc.RTOL
+    assert sorted(batched) == sorted([64, 16, 32, 2, 128, 8] * 2)
+    # the batched arrays alone catch it
+    params, _, fd_job = gc._model_grads("tin", 7, channels=(2, 3))
+    tin = [n for n in params.names() if ".tin." in n]
+    assert gc._fd_errors([(params.grads[n], fd_job(n)) for n in tin]) > gc.RTOL
+
+
+# max_error of every check as float.hex(), from run_op_suite(2, base) +
+# run_model_suite(2, base) at the commit before the batched FD, whose
+# values each one must keep
+PINNED_ERRORS = {
+    0: {
+        "conv2d": "0x1.8bee66d6e4c4ep-26",
+        "linear": "0x1.5c323b0648e7cp-30",
+        "activation": "0x1.0e07569b305cap-32",
+        "pool": "0x1.197644abd5066p-30",
+        "dropout": "0x1.36254fd80c8edp-33",
+        "interlace": "0x1.a538dbab80001p-27",
+        "tsm_shift": "0x1.5a8f33a981d16p-27",
+        "consensus": "0x1.046b9543d071cp-31",
+        "bce": "0x1.a53bd671ceaddp-30",
+        "lsep": "0x1.0d442f23dea93p-30",
+        "warp": "0x1.c00014795947ap-33",
+        "offset_net": "0x1.ac6acf2a766e1p-25",
+        "model[none]": "0x1.bc45764dbceb1p-34",
+        "model[tsm]": "0x1.077f654f0bebcp-30",
+        "model[tin]": "0x1.b61615f605d3dp-29",
+        "model[tin] full": "0x1.f63b3b8110002p-26",
+    },
+    4242: {
+        "conv2d": "0x1.37307c3021effp-26",
+        "linear": "0x1.3996c5b108fa6p-28",
+        "activation": "0x1.0b1ed81ed5424p-27",
+        "pool": "0x1.6e3de0f952a8bp-30",
+        "dropout": "0x1.47c42e314ba96p-31",
+        "interlace": "0x1.8418e34e9fc95p-27",
+        "tsm_shift": "0x1.c33a5ecd70002p-24",
+        "consensus": "0x1.e4c151b54a761p-30",
+        "bce": "0x1.6fae5cf14b060p-25",
+        "lsep": "0x1.73541c26b1742p-29",
+        "warp": "0x1.9de8c8b8dfef4p-33",
+        "offset_net": "0x1.1d1378121014ap-25",
+        "model[none]": "0x1.7762ba760a183p-30",
+        "model[tsm]": "0x1.15204e7bcafe6p-31",
+        "model[tin]": "0x1.bd2ce2ad43558p-32",
+        "model[tin] full": "0x1.f63b3b8110002p-26",
+    },
+}
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["fork", "serial"])
+@pytest.mark.parametrize("base", sorted(PINNED_ERRORS))
+def test_every_reported_error_keeps_its_bits(base, lane, monkeypatch):
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: lane)
+    results = gc.run_op_suite(2, base) + gc.run_model_suite(2, base)
+    assert {r.name: r.max_error.hex() for r in results} == PINNED_ERRORS[base]
