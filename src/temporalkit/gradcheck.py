@@ -21,18 +21,18 @@ passed and may read it through any alias (a ParamStore holding it, say).
   (analytic, job) pairs, each job's FD gradient from fd_gradients.
   _model_grads is the micro-model's one forward/loss/backward set-up.
 
-A job (f, x) is fd_gradient's loop: two evaluations of the scalar f per
-coordinate of x. A job (variant, losses_of, x) is fd_gradient_batched: it
-perturbs x in the same order, keeps variant(x) of each perturbation, and
-hands the +H variants, then the -H ones, to losses_of at once. That pays
-where a perturbation of x stays in its own sample, so the variants stack
-along the batch axis and one forward per sign serves them all. Every op on the way
-works sample by sample, and the stacked logits are cut back into each
-variant's rows before its loss. So each loss, and (fp - fm) / (2 * H),
-keeps the bits of fd_gradient's as long as the BLAS gives a GEMM's rows
-and columns the same bits in a larger call, as OpenBLAS does at these
-shapes. tests/test_gradcheck.py checks that byte for byte for every
-batched array, so a BLAS that broke it fails there.
+A job is fd_gradient's arguments: (f, x) evaluates the scalar f twice per
+coordinate of x, and (variant, x, losses_of) keeps variant(x) of each
+perturbation instead and hands the +H variants, then the -H ones, to
+losses_of at once. That pays where a perturbation of x stays in its own
+sample, so the variants stack along the batch axis and one forward per
+sign serves them all. Every op on the way works sample by sample, and the
+stacked logits are cut back into each variant's rows before its loss. So
+each loss, and (fp - fm) / (2 * H), keeps the bits of the loop's as long
+as the BLAS gives a GEMM's rows and columns the same bits in a larger
+call, as OpenBLAS does at these shapes. tests/test_gradcheck.py checks
+that byte for byte for every batched array, so a BLAS that broke it fails
+there.
 
 The set-up forward keeps each model stage's input and each block layer's
 output (see model). check_model_all_params gives each parameter the loss
@@ -55,21 +55,19 @@ on the kept pooled frame feature, and losses_of stacks the variants'
 offsets and weights, with as many copies of the block's kept input and
 skip output, resumes the block at its interlacing, runs the later stages
 and the head once per sign, and takes bce_scaled on each variant's N
-rows. The
-offset net check batches its feature map the same way, since a feature
-perturbation stays in its sample; the net's own weights are read by every
-sample, so they keep fd_gradient.
+rows. The offset net check batches its feature map the same way, since a
+feature perturbation stays in its sample; the net's own weights are read
+by every sample, so they keep the loop of (f, x).
 
 fd_gradients computes the jobs. When the process may use more than one
 CPU (ops' lane rule) and os.fork exists, it splits them into two halves
-of about equal estimated cost, costliest first, in forwards: two per
-coordinate of a loop job, two for a batched one. A forked child computes
-one half while this process computes the other. Each value is the same
-evaluation of the same f on a copy-on-write copy of the same arrays, so
-the results keep the bits of the serial loop. If the child fails, this
-process computes its half itself. With one CPU or no fork, it is the
-serial loop. The per-op checks call fd_gradient directly: at 0.2-7 ms a
-case, a fork would not pay.
+of about equal coordinate count, largest arrays first, and a forked child
+computes one half while this process computes the other. Each value is
+the same evaluation of the same f on a copy-on-write copy of the same
+arrays, so the results keep the bits of the serial loop. If the child
+fails, this process computes its half itself. With one CPU or no fork, it
+is the serial loop. The per-op checks call fd_gradient directly: at
+0.2-7 ms a case, a fork would not pay.
 """
 
 from __future__ import annotations
@@ -146,37 +144,19 @@ def _float64(x) -> np.ndarray:
     return x
 
 
-def fd_gradient(f, x) -> np.ndarray:
+def fd_gradient(f, x, losses_of=list) -> np.ndarray:
     """Full central-difference gradient of scalar f w.r.t. float64 array x,
     step H.
 
     x is perturbed in place and restored between evaluations, so f may read
     it through any alias (e.g. a ParamStore holding the same array).
-    """
-    x = _float64(x)
-    g = np.zeros_like(x)
-    for idx in np.ndindex(x.shape):
-        old = x[idx]
-        try:
-            x[idx] = old + H
-            fp = f(x)
-            x[idx] = old - H
-            fm = f(x)
-        finally:
-            x[idx] = old
-        g[idx] = (fp - fm) / (2.0 * H)
-    return g
 
-
-def fd_gradient_batched(variant, losses_of, x) -> np.ndarray:
-    """fd_gradient(lambda v: losses_of([variant(v)])[0], x), bit for bit,
-    with one call of losses_of on the +H variants and one on the -H ones.
-
-    x is perturbed in place as fd_gradient perturbs it, and variant(x) reads
-    each perturbation; it must return arrays of its own, not views of x.
-    losses_of(outs) gives each variant's loss, in order. The values equal
-    fd_gradient's when each loss equals the one of its variant alone (see
-    the module docstring).
+    With losses_of, f(x) of each perturbation is a variant, not a loss: it
+    must return arrays of its own, not views of x. losses_of(outs) gives the
+    loss of each variant, in order, in one call on the +H variants and one
+    on the -H ones. The values are those of the loop on
+    lambda v: losses_of([f(v)])[0] when each loss equals the one of its
+    variant alone (see the module docstring).
     """
     x = _float64(x)
     plus, minus = [], []
@@ -184,64 +164,53 @@ def fd_gradient_batched(variant, losses_of, x) -> np.ndarray:
         old = x[idx]
         try:
             x[idx] = old + H
-            plus.append(variant(x))
+            plus.append(f(x))
             x[idx] = old - H
-            minus.append(variant(x))
+            minus.append(f(x))
         finally:
             x[idx] = old
     fp, fm = (np.asarray(losses_of(outs), dtype=np.float64) for outs in (plus, minus))
     return ((fp - fm) / (2.0 * H)).reshape(x.shape)
 
 
-def _halves(costs) -> tuple[list[int], list[int]]:
-    """Job indices split into two halves of about equal total cost, the
-    costliest assigned first. The first half is the parent's."""
+def _halves(sizes) -> tuple[list[int], list[int]]:
+    """Job indices split into two halves of about equal total size, the
+    largest assigned first. The first half is the parent's."""
     halves, loads = ([], []), [0, 0]
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
         side = 0 if loads[0] <= loads[1] else 1
         halves[side].append(i)
-        loads[side] += costs[i]
+        loads[side] += sizes[i]
     return halves
 
 
-def _cost(job) -> int:
-    """A job's forwards: two per coordinate of fd_gradient's loop, and two
-    stacked ones for a batched job."""
-    return 2 * job[-1].size if len(job) == 2 else 2
-
-
-def _fd(job) -> np.ndarray:
-    return fd_gradient(*job) if len(job) == 2 else fd_gradient_batched(*job)
-
-
 def fd_gradients(jobs) -> list[np.ndarray]:
-    """The FD gradient of each job, bit for bit as the serial loop gives it:
-    fd_gradient(f, x) for a job (f, x), fd_gradient_batched(variant,
-    losses_of, x) for a job (variant, losses_of, x). When this process may
-    use more than one CPU, a forked child computes the jobs of about half
-    the estimated cost (see the module docstring).
+    """fd_gradient(*job) of each job, bit for bit as the serial loop gives
+    it. When this process may use more than one CPU, a forked child
+    computes the jobs of about half the coordinates (see the module
+    docstring).
 
     The child sends its gradients back through a pipe as float64 bytes. If it
     fails or its bytes are short, this process computes its jobs too, so an
     exception in a loss surfaces here with its usual traceback. If this
     process's own half raises, the child is killed and reaped first.
     """
-    jobs = [(*job[:-1], _float64(job[-1])) for job in jobs]
-    mine, theirs = _halves([_cost(job) for job in jobs])
+    jobs = [(f, _float64(x), *rest) for f, x, *rest in jobs]
+    mine, theirs = _halves([job[1].size for job in jobs])
     if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
-        return [_fd(job) for job in jobs]
+        return [fd_gradient(*job) for job in jobs]
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the serial loop
         os.close(read_end)
         os.close(write_end)
-        return [_fd(job) for job in jobs]
+        return [fd_gradient(*job) for job in jobs]
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
-            data = b"".join(_fd(jobs[i]).tobytes() for i in theirs)
+            data = b"".join(fd_gradient(*jobs[i]).tobytes() for i in theirs)
             with os.fdopen(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -251,7 +220,7 @@ def fd_gradients(jobs) -> list[np.ndarray]:
     out = [None] * len(jobs)
     try:
         for i in mine:
-            out[i] = _fd(jobs[i])
+            out[i] = fd_gradient(*jobs[i])
     except BaseException:
         # imported here, so that importing this module (the set-up time of a
         # gradcheck run) loads nothing beyond numpy and the package
@@ -264,14 +233,14 @@ def fd_gradients(jobs) -> list[np.ndarray]:
     with os.fdopen(read_end, "rb") as pipe:
         data = pipe.read()
     _, status = os.waitpid(pid, 0)
-    sizes = [jobs[i][-1].size for i in theirs]
+    sizes = [jobs[i][1].size for i in theirs]
     if status != 0 or len(data) != 8 * sum(sizes):
         for i in theirs:
-            out[i] = _fd(jobs[i])
+            out[i] = fd_gradient(*jobs[i])
         return out
     flat = np.frombuffer(bytearray(data), dtype=np.float64)
     for i, part in zip(theirs, np.split(flat, np.cumsum(sizes)[:-1])):
-        out[i] = part.reshape(jobs[i][-1].shape)
+        out[i] = part.reshape(jobs[i][1].shape)
     return out
 
 
@@ -458,7 +427,7 @@ def check_offset_net(seed: int) -> float:
 
     g_feat = offset_weight_net_backward(r_off, r_wts, cache, params, cfg, prefix)
     # the net's weights are read by every sample, so their variants do not stack
-    return _fd_errors([(g_feat, (np.copy, losses_of, feat))]
+    return _fd_errors([(g_feat, (np.copy, feat, losses_of))]
                       + [(params.grads[name], (lambda _v: losses_of([feat])[0], params[name]))
                          for name in names])
 
@@ -524,7 +493,7 @@ def _model_grads(mode: str, seed: int, channels=(4, 6)):
             return [losses.bce_scaled(logits[j:j + n], targets, lcfg)[0]
                     for j in range(0, len(logits), n)]
 
-        return variant, losses_of, params[name]
+        return variant, params[name], losses_of
 
     return params, lambda: _model_loss(params, cfg, clip, targets, lcfg), fd_job
 

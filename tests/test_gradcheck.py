@@ -1,7 +1,5 @@
 import functools
-import inspect
 import os
-import textwrap
 import subprocess
 import sys
 from collections import Counter
@@ -184,10 +182,10 @@ def test_one_cpu_never_forks(monkeypatch):
 
 
 def test_sign_error_on_the_childs_half_is_caught(forks, monkeypatch):
-    params, _, fd_job = gc._model_grads("tin", 7, channels=(2, 3))
+    _, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
     names = params.names()
-    _, theirs = gc._halves([gc._cost(fd_job(n)) for n in names])
-    name = "block0.tin.trunk.weight"  # a batched job
+    _, theirs = gc._halves([params.values[n].size for n in names])
+    name = "block0.tin.offs.weight"
     assert names.index(name) in theirs
     real = gc.backbone_backward
 
@@ -292,32 +290,25 @@ def test_fd_gradient_refuses_an_array_that_is_not_float64(dtype):
 def test_each_op_check_keeps_its_fd_gradient_call_count(monkeypatch):
     # perfbench's gradcheck.fd_gradient.calls counts these calls
     calls = []
+    real = gc.fd_gradient
 
-    def counted(kind):
-        real = getattr(gc, kind)
-
-        def call(*args):
-            calls.append(kind)
-            return real(*args)
-        return call
+    def counted(*job):
+        calls.append(1)
+        return real(*job)
 
     monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # offset_net's jobs all run here
-    for kind in ("fd_gradient", "fd_gradient_batched"):
-        monkeypatch.setattr(gc, kind, counted(kind))
+    monkeypatch.setattr(gc, "fd_gradient", counted)
     params = gc.init_params(gc.ModelConfig(frames=4, in_channels=3, height=3, width=3,
                                            num_classes=2, temporal_mode="tin", num_groups=2,
                                            channels=(3,), dropout=0.0), 0)
-    offset_net_weights = sum(".tin." in name for name in params.names())
+    offset_net_jobs = 1 + sum(".tin." in name for name in params.names())
     counts = {}
     for name, check in gc.OP_CHECKS.items():
         calls.clear()
         check(0)
-        counts[name] = Counter(calls)
-    want = {name: {"fd_gradient": 1} for name in gc.OP_CHECKS}
-    want.update(conv2d={"fd_gradient": 3}, linear={"fd_gradient": 3},
-                interlace={"fd_gradient": 3},
-                # the feature map's perturbations stay in their samples: one batched job
-                offset_net={"fd_gradient": offset_net_weights, "fd_gradient_batched": 1})
+        counts[name] = len(calls)
+    want = {name: 1 for name in gc.OP_CHECKS}
+    want.update(conv2d=3, linear=3, interlace=3, offset_net=offset_net_jobs)
     assert counts == want
 
 
@@ -498,8 +489,8 @@ def test_batched_offset_net_fd_keeps_the_bits_of_fd_gradient(seed):
     for name in names:
         stage, layer = gc.stage_of(name, cfg)
         job = fd_job(name)
-        assert layer == "offsets" and len(job) == 3 and job[-1] is params[name]
-        got = gc.fd_gradient_batched(*job).tobytes()
+        assert layer == "offsets" and len(job) == 3 and job[1] is params[name]
+        got = gc.fd_gradient(*job).tobytes()
         resumed = gc.fd_gradient(
             lambda _v: gc._model_loss(ref, cfg, kept[stage], targets, lcfg, stage, layer, kept),
             ref[name])
@@ -514,19 +505,10 @@ def test_batched_feature_fd_of_the_offset_net_keeps_the_bits_of_fd_gradient(seed
     real = gc.fd_gradients
     monkeypatch.setattr(gc, "fd_gradients", lambda js: jobs.extend(js) or real(js))
     gc.check_offset_net(seed)
-    (variant, losses_of, feat), = [job for job in jobs if len(job) == 3]
+    (variant, feat, losses_of), = [job for job in jobs if len(job) == 3]
     assert feat.shape == (2, 4, 3, 3, 3)
     want = gc.fd_gradient(lambda v: losses_of([variant(v)])[0], feat)
-    assert gc.fd_gradient_batched(variant, losses_of, feat).tobytes() == want.tobytes()
-
-
-def _mutant(fn, old, new):
-    """fn compiled again from its source with the text `old` made `new`."""
-    src = textwrap.dedent(inspect.getsource(fn))
-    assert src.count(old) == 1, old
-    namespace = dict(fn.__globals__)
-    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
+    assert gc.fd_gradient(variant, feat, losses_of).tobytes() == want.tobytes()
 
 
 def _flipped_offsets(real):
@@ -539,20 +521,22 @@ def _flipped_offsets(real):
 @pytest.mark.parametrize("plant", ["delta_max", "offset_sign"])
 def test_a_bug_on_the_offset_path_fails_the_batched_check(plant, monkeypatch):
     if plant == "delta_max":  # the tanh head's scale left out of the offsets' gradient
+        real_net = model.offset_weight_net_backward
         monkeypatch.setattr(model, "offset_weight_net_backward",
-                            _mutant(model.offset_weight_net_backward,
-                                    "as_f64(g_offsets) * cfg.delta_max", "as_f64(g_offsets)"))
+                            lambda g_off, g_wts, cache, params, cfg, prefix:
+                            real_net(g_off / cfg.delta_max, g_wts, cache, params, cfg, prefix))
     else:
         monkeypatch.setattr(model, "interlace_backward", _flipped_offsets(model.interlace_backward))
     batched = []
-    real = gc.fd_gradient_batched
+    real = gc.fd_gradient
 
-    def counted(*job):
-        batched.append(job[-1].size)
-        return real(*job)
+    def counted(f, x, *losses_of):
+        if losses_of:
+            batched.append(x.size)
+        return real(f, x, *losses_of)
 
     monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # every job runs here, counted
-    monkeypatch.setattr(gc, "fd_gradient_batched", counted)
+    monkeypatch.setattr(gc, "fd_gradient", counted)
     assert gc.check_model_all_params("tin") > gc.RTOL
     assert sorted(batched) == sorted([64, 16, 32, 2, 128, 8] * 2)
     # the batched arrays alone catch it
