@@ -8,56 +8,72 @@ that are themselves near zero. Step size H = 1e-5 on float64 throughout.
 Random inputs are drawn away from the operators' kinks: relu pre-activations
 off zero, interlace offsets off integers, hinge margins off the boundary.
 
-Every check compares through one of two helpers, and the errors of a check
-fold through _worst, which keeps a NaN. Each FD loss reads its arrays in
-place, where fd_gradient perturbs them, so it ignores the array it is
-passed and may read it through any alias (a ParamStore holding it, say).
+Every check compares through one of two helpers, or calls fd_gradient
+itself, and the errors of a check fold through _worst, which keeps a NaN.
+Each FD loss reads its arrays in place, where fd_gradient perturbs them,
+so it ignores the array it is passed and may read it through any alias
+(a ParamStore holding it, say).
 
 - _vjp_error(f, args, grads, r) is the per-op comparison: one fd_gradient
   per argument, in argument order, on the loss sum(f(*args) * r), or on
-  the scalar f(*args) itself for the losses.
-- _fd_errors(pairs) is the whole-network comparison: the offset net's
-  feature map and weights, and every parameter of the micro-model, as
-  (analytic, job) pairs, each job's FD gradient from fd_gradients.
-  _model_grads is the micro-model's one forward/loss/backward set-up.
+  the scalar f(*args) itself for the losses. check_interlace gives its
+  input x a batched job instead, and check_offset_net gives one to each
+  of its arrays (below); both call fd_gradient on those jobs directly.
+- _fd_errors(pairs) is the whole-network comparison: every parameter of
+  the micro-model, as (analytic, job) pairs, each job's FD gradient from
+  fd_gradients. _model_grads is the micro-model's one
+  forward/loss/backward set-up.
 
 A job is fd_gradient's arguments: (f, x) evaluates the scalar f twice per
 coordinate of x, and (variant, x, losses_of) keeps variant(x) of each
 perturbation instead and hands the +H variants, then the -H ones, to
-losses_of at once. That pays where a perturbation of x stays in its own
-sample, so the variants stack along the batch axis and one forward per
-sign serves them all. Every op on the way works sample by sample, and the
-stacked logits are cut back into each variant's rows before its loss. So
-each loss, and (fp - fm) / (2 * H), keeps the bits of the loop's as long
-as the BLAS gives a GEMM's rows and columns the same bits in a larger
-call, as OpenBLAS does at these shapes. tests/test_gradcheck.py checks
-that byte for byte for every batched array, so a BLAS that broke it fails
-there.
+losses_of at once. A variant runs only what a perturbation of x changes
+up to a point where the perturbations can share one call, and losses_of
+runs the rest. Where a perturbation stays in its own sample, as one of a
+stage's parameters does in the stage's output, the variants stack along
+the batch axis and one forward per sign serves them all. Every op on the
+way works sample by sample, and the stacked outputs are cut back into
+each variant's rows before its loss. So each loss, and (fp - fm) / (2 *
+H), keeps the bits of the loop's as long as the BLAS gives a GEMM's rows
+and columns the same bits in a larger call, as OpenBLAS does at these
+shapes: a micro-model variant is N*T = 8 images, so a stacked GEMM's
+image count stays a multiple of 8, clear of the kernel OpenBLAS switches
+to for a last 1-3 images. tests/test_gradcheck.py checks that byte for
+byte for every batched array, so a BLAS that broke it fails there. The
+losses read losses.bce_scaled_loss, bce_scaled's loss without its
+gradient.
 
 The set-up forward keeps each model stage's input and each block layer's
-output (see model). check_model_all_params gives each parameter the loss
-that resumes where it is first read: the stem's at stage 0 (the whole
-forward, on the clip), the head's at the last stage on the last block's
-kept output, and block i's at stage i + 1 on block i's kept input, from
-the parameter's own layer: conv1's at conv1, on the kept interlaced or
-shifted output; conv2's at conv2; and the skip's at the skip, on the kept
-conv2 output. Every block layer but the skip's reuses the kept skip
-output. A perturbed parameter cannot change what is read before it, so
-the resumed forward runs the same ops on the same arrays as the whole
-one, and every FD value and max_error keeps its bits; only the reruns of
-the earlier stages and layers are skipped. The directional probe perturbs
-every parameter at once, so it always runs the whole forward.
+output (see model). check_model_all_params gives each parameter a
+batched job whose variant resumes where the parameter is first read.
+The stem's variant is the stem conv on the clip. Block i's conv1, conv2
+and skip arrays' variant is the block's output, the block resumed at the
+array's own layer: conv1's on the kept interlaced or shifted output,
+conv2's on the kept conv1 output, the skip's on the block's input with
+the kept conv2 output; every layer but the skip reuses the kept skip
+output. losses_of runs the later stages and the head on the stacked
+variants. The head's variant is its logits, on the last block's kept
+output, and losses_of only scores them. A perturbed parameter cannot
+change what is read before it, so every variant and stacked forward runs
+the same ops on the same arrays as the whole forward, and every FD value
+and max_error keeps its bits; only the reruns of the earlier stages and
+layers, and the per-perturbation runs of the later ones, are skipped.
+The directional probe perturbs every parameter at once, so it runs the
+whole forward (_model_loss).
 
 The offset net's weights reach the rest of the network only through
-their block's per-sample offsets [N,G] and frame weights [N,G,T]. So each
-of their arrays is a batched job: a variant is the block's offset MLP run
-on the kept pooled frame feature, and losses_of stacks the variants'
-offsets and weights, with as many copies of the block's kept input and
-skip output, resumes the block at its interlacing, runs the later stages
-and the head once per sign, and takes bce_scaled on each variant's N
-rows. The offset net check batches its feature map the same way, since a
-feature perturbation stays in its sample; the net's own weights are read
-by every sample, so they keep the loop of (f, x).
+their block's per-sample offsets [N,G] and frame weights [N,G,T], and a
+variant is that pair. A trunk array's comes from the block's MLP on the
+kept pooled frame feature; an offs or wts array's from that head alone,
+on the trunk output of one unperturbed run per job, with that run's
+output of the other head. losses_of stacks the variants' offsets and
+weights, with as many copies of the block's kept input and skip output,
+resumes the block at its interlacing, runs the later stages and the
+head once per sign, and scores each variant's N rows. check_offset_net
+resumes its weights' MLPs the same way and scores each variant on its
+own, since the net's weights are read by every sample; its feature map
+is batched like a stage parameter, since a feature perturbation stays in
+its sample. check_interlace batches x for the same reason.
 
 fd_gradients computes the jobs. When the process may use more than one
 CPU (ops' lane rule) and os.fork exists, it splits them into two halves
@@ -66,8 +82,8 @@ computes one half while this process computes the other. Each value is
 the same evaluation of the same f on a copy-on-write copy of the same
 arrays, so the results keep the bits of the serial loop. If the child
 fails, this process computes its half itself. With one CPU or no fork, it
-is the serial loop. The per-op checks call fd_gradient directly: at
-0.2-7 ms a case, a fork would not pay.
+is the serial loop. The per-op checks, check_offset_net among them, call
+fd_gradient directly: at 0.1-20 ms a case, a fork would not pay.
 """
 
 from __future__ import annotations
@@ -79,7 +95,11 @@ import numpy as np
 
 from . import losses, ops
 from .model import (
+    BLOCK_LAYERS,
     ModelConfig,
+    _block_forward,
+    _conv,
+    _mlp_head,
     _offset_weight_mlp,
     backbone_backward,
     backbone_forward,
@@ -338,12 +358,18 @@ def check_interlace(seed: int) -> float:
     offsets = _away_from_integers(rng.uniform(-delta + 0.1, delta - 0.1, size=(n, 2)))
     weights = rng.uniform(0.1, 1.9, size=(n, 2, t))
     r = rng.normal(size=x.shape)
-    grads = interlace_backward(r, x, groups, InterlaceParams(offsets, weights, delta_max=delta))
+    g_x, *g_params = interlace_backward(r, x, groups, InterlaceParams(offsets, weights, delta))
 
     def f(xx, off, wts):
         return interlace_forward(xx, groups, InterlaceParams(off, wts, delta_max=delta))
 
-    return _vjp_error(f, (x, offsets, weights), grads, r)
+    def losses_of(xs):  # a perturbation of x stays in its sample, so x's variants stack
+        k = len(xs)
+        out = f(np.concatenate(xs), np.concatenate([offsets] * k), np.concatenate([weights] * k))
+        return [float((out[j:j + n] * r).sum()) for j in range(0, k * n, n)]
+
+    return _worst([scaled_error(g_x, fd_gradient(np.copy, x, losses_of)),
+                   _vjp_error(lambda off, wts: f(x, off, wts), (offsets, weights), g_params, r)])
 
 
 def check_tsm(seed: int) -> float:
@@ -378,7 +404,7 @@ def check_bce(seed: int) -> float:
     y = _random_targets(rng, 4, 6)
     cfg = losses.LossConfig(scale=160.0, class_weights=rng.uniform(0.5, 2.0, 6))
     _, grad = losses.bce_scaled(z, y, cfg)
-    return _vjp_error(lambda v: losses.bce_scaled(v, y, cfg)[0], (z,), (grad,))
+    return _vjp_error(lambda v: losses.bce_scaled_loss(v, y, cfg), (z,), (grad,))
 
 
 def check_lsep(seed: int) -> float:
@@ -420,16 +446,23 @@ def check_offset_net(seed: int) -> float:
     r_off = rng.normal(size=(2, 2))
     r_wts = rng.normal(size=(2, 2, 4))
 
-    def losses_of(feats):
+    def scores(offsets, weights):
+        """The loss of each 2-sample variant of the stacked net outputs."""
+        return [float((offsets[j:j + 2] * r_off).sum() + (weights[j:j + 2] * r_wts).sum())
+                for j in range(0, len(offsets), 2)]
+
+    def feat_losses(feats):
         ip, _ = offset_weight_net_forward(np.concatenate(feats), params, cfg, prefix)
-        return [float((ip.offsets[j:j + 2] * r_off).sum() + (ip.weights[j:j + 2] * r_wts).sum())
-                for j in range(0, 2 * len(feats), 2)]
+        return scores(ip.offsets, ip.weights)
 
     g_feat = offset_weight_net_backward(r_off, r_wts, cache, params, cfg, prefix)
-    # the net's weights are read by every sample, so their variants do not stack
-    return _fd_errors([(g_feat, (np.copy, feat, losses_of))]
-                      + [(params.grads[name], (lambda _v: losses_of([feat])[0], params[name]))
-                         for name in names])
+    # the net's weights are read by every sample, so their variants do not
+    # stack: each reruns the MLP from where its array is read, scored alone
+    jobs = [(g_feat, (np.copy, feat, feat_losses))] + [
+        (params.grads[name], (_mlp_variant(name, cache["m"], feat.shape, params, cfg),
+                              params[name], lambda outs: [scores(*out)[0] for out in outs]))
+        for name in names]
+    return _worst(scaled_error(g, fd_gradient(*job)) for g, job in jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,49 +484,70 @@ def _micro_model(mode: str, seed: int, channels=(4, 6)):
     return cfg, params, clip, targets, lcfg
 
 
-def _model_loss(params, cfg, x, targets, lcfg, stage: int = 0, layer=None, kept=None) -> float:
-    """The micro-model's loss, its forward started at `stage` on that stage's
-    input x, and in a block at `layer`, from the outputs `kept`. Stage 0, on
-    the clip, is the whole forward."""
-    logits = (forward_from_stage(stage, x, params, cfg, kept=kept, layer=layer) if stage
-              else backbone_forward(x, params, cfg))
-    return losses.bce_scaled(logits, targets, lcfg)[0]
+def _mlp_variant(name, m, feat_shape, params, cfg):
+    """The variant of offset-net array `name` for fd_gradient: its block's
+    (offsets, frame weights). A trunk array reruns the MLP on the pooled
+    frame feature m; a head's array reruns that head alone, on the trunk
+    output of one unperturbed run, and keeps that run's other head."""
+    prefix, part = name[:name.index(".tin.") + 5], name.split(".")[2]
+    ip, ocache = _offset_weight_mlp(m, feat_shape, params, cfg, prefix)
+
+    def variant(_v):
+        if part == "trunk":
+            out = _offset_weight_mlp(m, feat_shape, params, cfg, prefix)[0]
+            return out.offsets, out.weights
+        out = _mlp_head(ocache["h"], params, cfg, prefix, part)[0]
+        return (out, ip.weights) if part == "offs" else (ip.offsets, out)
+
+    return variant
+
+
+def _model_loss(params, cfg, clip, targets, lcfg) -> float:
+    """The micro-model's loss: the whole forward on the clip."""
+    return losses.bce_scaled_loss(backbone_forward(clip, params, cfg), targets, lcfg)
 
 
 def _model_grads(mode: str, seed: int, channels=(4, 6)):
     """A micro-model with its loss's analytic gradients in params.grads; that
     loss, the whole forward reading params in place; and fd_job(name), the
-    FD job of parameter `name`, whose forwards resume from what the set-up
-    forward kept (see the module docstring)."""
+    batched FD job of parameter `name`, whose forwards resume from what the
+    set-up forward kept (see the module docstring)."""
     cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
     cache, kept = {}, {}
     logits = forward_from_stage(0, clip, params, cfg, cache=cache, kept=kept)
     _, g_logits = losses.bce_scaled(logits, targets, lcfg)
     backbone_backward(g_logits, cache, params, cfg)
+    n, head = len(clip), cfg.num_blocks + 1
+
+    def scores(logits):
+        """The loss of each variant's n rows of the stacked logits."""
+        return [losses.bce_scaled_loss(logits[j:j + n], targets, lcfg)
+                for j in range(0, len(logits), n)]
 
     def fd_job(name):
         stage, layer = stage_of(name, cfg)
         x, block = kept[stage], f"block{stage - 1}."
-        if layer != "offsets":
-            return (lambda _v: _model_loss(params, cfg, x, targets, lcfg, stage, layer, kept),
-                    params[name])
-        n = x.shape[0]
+        if stage == head:  # a variant is its logits
+            return (lambda _v: forward_from_stage(head, x, params, cfg), params[name],
+                    lambda outs: scores(np.concatenate(outs)))
+        if layer == "offsets":  # a variant is its block's offsets and frame weights
+            def losses_of(outs):
+                offsets, weights = map(np.concatenate, zip(*outs))
+                stacked = {block + "offsets": InterlaceParams(offsets, weights, cfg.delta_max),
+                           block + "skip": np.concatenate([kept[block + "skip"]] * len(outs))}
+                return scores(forward_from_stage(stage, np.concatenate([x] * len(outs)), params,
+                                                 cfg, kept=stacked, layer="temporal"))
 
-        def variant(_v):
-            return _offset_weight_mlp(kept[block + "pool"], x.shape, params, cfg,
-                                      block + "tin.")[0]
+            return (_mlp_variant(name, kept[block + "pool"], x.shape, params, cfg),
+                    params[name], losses_of)
+        k = BLOCK_LAYERS.index(layer) if stage else 0
 
-        def losses_of(ips):
-            offsets, weights = (np.concatenate(a) for a in zip(*[(ip.offsets, ip.weights)
-                                                                 for ip in ips]))
-            stacked = {block + "offsets": InterlaceParams(offsets, weights, cfg.delta_max),
-                       block + "skip": np.concatenate([kept[block + "skip"]] * len(ips))}
-            logits = forward_from_stage(stage, np.concatenate([x] * len(ips)), params, cfg,
-                                        kept=stacked, layer="temporal")
-            return [losses.bce_scaled(logits[j:j + n], targets, lcfg)[0]
-                    for j in range(0, len(logits), n)]
+        def variant(_v):  # its stage's output, the stage resumed at the array's layer
+            return (_block_forward(x, stage - 1, params, cfg, None, kept, k) if stage
+                    else _conv(x, params, "stem", 2, 1, None))
 
-        return variant, params[name], losses_of
+        return variant, params[name], lambda outs: scores(
+            forward_from_stage(stage + 1, np.concatenate(outs), params, cfg))
 
     return params, lambda: _model_loss(params, cfg, clip, targets, lcfg), fd_job
 
@@ -519,8 +573,8 @@ def check_model_directional(seed: int, mode: str = "tin") -> float:
 
 def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
     """Exhaustive per-parameter FD over a smaller micro-model. Each
-    parameter's loss resumes at the stage and layer that read it; the
-    offset net's arrays run as batched jobs."""
+    parameter is a batched job, resumed at the stage and layer that read
+    it."""
     params, _, fd_job = _model_grads(mode, seed, channels=(2, 3))
     return _fd_errors([(params.grads[n], fd_job(n)) for n in params.names()])
 

@@ -76,6 +76,18 @@ def bce_scaled(logits, targets, cfg: LossConfig):
     L = scale * mean(w_c * [-y log s(z) - (1-y) log(1 - s(z))]) over all N*C
     entries, computed in the overflow-free form max(z,0) - z*y + log1p(e^-|z|).
     """
+    loss, z, y, w = _bce(logits, targets, cfg)
+    return loss, cfg.scale * w[None, :] * (sigmoid(z) - y) / z.size
+
+
+def bce_scaled_loss(logits, targets, cfg: LossConfig) -> float:
+    """The loss of `bce_scaled` without its gradient: what a finite
+    difference reads."""
+    return _bce(logits, targets, cfg)[0]
+
+
+def _bce(logits, targets, cfg: LossConfig):
+    """`bce_scaled`'s loss, and its checked logits, targets and class weights."""
     z = as_f64(logits)
     y = _check_targets(targets)
     if z.shape != y.shape:
@@ -84,9 +96,7 @@ def bce_scaled(logits, targets, cfg: LossConfig):
     if w.shape != (z.shape[1],):
         raise ValueError(f"class weights shape {w.shape} does not match C={z.shape[1]}")
     per_entry = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    loss = cfg.scale * float((w[None, :] * per_entry).mean())
-    grad = cfg.scale * w[None, :] * (sigmoid(z) - y) / z.size
-    return loss, grad
+    return cfg.scale * float((w[None, :] * per_entry).mean()), z, y, w
 
 
 def lsep(scores, targets):

@@ -246,17 +246,25 @@ def offset_weight_net_forward(feat, params: ParamStore, cfg: ModelConfig, prefix
 
 def _offset_weight_mlp(m, feat_shape, params: ParamStore, cfg: ModelConfig, prefix: str):
     """`offset_weight_net_forward` after its pooling, on the pooled [N,T] m."""
-    n, t = m.shape
     t1 = _linear(m, params, prefix + "trunk")
     h = ops.activation(t1, "relu")
-    zo = _linear(h, params, prefix + "offs")
-    th = ops.activation(zo, "tanh")
-    zw = _linear(h, params, prefix + "wts")
-    sg = ops.activation(zw, "sigmoid")
-    iparams = InterlaceParams(cfg.delta_max * th, (2.0 * sg).reshape(n, cfg.num_groups, t),
-                              delta_max=cfg.delta_max)
+    offsets, zo, th = _mlp_head(h, params, cfg, prefix, "offs")
+    weights, zw, sg = _mlp_head(h, params, cfg, prefix, "wts")
+    iparams = InterlaceParams(offsets, weights, delta_max=cfg.delta_max)
     return iparams, {"m": m, "t1": t1, "h": h, "zo": zo, "th": th, "zw": zw, "sg": sg,
                      "feat_shape": feat_shape}
+
+
+def _mlp_head(h, params: ParamStore, cfg: ModelConfig, prefix: str, head: str):
+    """One head of the offset/weight MLP on its trunk output h [N,hidden]:
+    "offs" gives the offsets delta_max * tanh(z) [N,G], "wts" the frame
+    weights 2 * sigmoid(z) [N,G,T]. Returns the output, z and the activation."""
+    z = _linear(h, params, prefix + head)
+    if head == "offs":
+        th = ops.activation(z, "tanh")
+        return cfg.delta_max * th, z, th
+    sg = ops.activation(z, "sigmoid")
+    return (2.0 * sg).reshape(len(h), cfg.num_groups, -1), z, sg
 
 
 def offset_weight_net_backward(g_offsets, g_weights, cache, params: ParamStore,

@@ -434,17 +434,23 @@ def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
                       (1, "skip"): 6, (2, "offsets"): 250, (2, "conv1"): 57, (2, "conv2"): 84,
                       (2, "skip"): 9, (3, None): 12}
     # per resume point, the (stem, conv1, conv2, skip) convs and the
-    # interlacings its loss reruns: a block's skip output is kept for every
-    # layer but the skip, its conv2 output for the skip. An offset-net
-    # array's variants resume at the interlacing in one stacked forward
-    # for the +H steps and one for the -H steps.
-    reruns = {(0, None): (1, 2, 2, 2, 2), (1, "offsets"): (0, 2, 2, 1, 2),
-              (1, "conv1"): (0, 2, 2, 1, 1), (1, "conv2"): (0, 1, 2, 1, 1),
-              (1, "skip"): (0, 1, 1, 2, 1), (2, "offsets"): (0, 1, 1, 0, 1),
-              (2, "conv1"): (0, 1, 1, 0, 0), (2, "conv2"): (0, 0, 1, 0, 0),
-              (2, "skip"): (0, 0, 0, 1, 0), (3, None): (0, 0, 0, 0, 0)}
-    forwards = {point: 2 * (arrays[point] if point[1] == "offsets" else n)
-                for point, n in coords.items()}
+    # interlacings that each variant reruns, twice per coordinate: its own
+    # stage from the array's layer (a block's skip output is kept for every
+    # layer but the skip, its conv2 output for the skip; an offset-net
+    # array's variant is its MLP, and the head's its logits) ...
+    variant = {(0, None): (1, 0, 0, 0, 0), (1, "offsets"): (0, 0, 0, 0, 0),
+               (1, "conv1"): (0, 1, 1, 0, 0), (1, "conv2"): (0, 0, 1, 0, 0),
+               (1, "skip"): (0, 0, 0, 1, 0), (2, "offsets"): (0, 0, 0, 0, 0),
+               (2, "conv1"): (0, 1, 1, 0, 0), (2, "conv2"): (0, 0, 1, 0, 0),
+               (2, "skip"): (0, 0, 0, 1, 0), (3, None): (0, 0, 0, 0, 0)}
+    # ... and those of the one stacked forward per array and step sign:
+    # the later stages, or for an offset-net array its block from the
+    # interlacing on
+    stacked = {(0, None): (0, 2, 2, 2, 2), (1, "offsets"): (0, 2, 2, 1, 2),
+               (1, "conv1"): (0, 1, 1, 1, 1), (1, "conv2"): (0, 1, 1, 1, 1),
+               (1, "skip"): (0, 1, 1, 1, 1), (2, "offsets"): (0, 1, 1, 0, 1),
+               (2, "conv1"): (0, 0, 0, 0, 0), (2, "conv2"): (0, 0, 0, 0, 0),
+               (2, "skip"): (0, 0, 0, 0, 0), (3, None): (0, 0, 0, 0, 0)}
     calls = Counter()
     real_conv, real_interlace = ops.conv2d_with_cols, model.interlace_forward
 
@@ -463,20 +469,34 @@ def test_each_parameter_reruns_only_the_stages_from_its_own(monkeypatch):
     monkeypatch.setattr(model, "interlace_forward", interlace)
     gc.check_model_all_params("tin")
     setup = (1, 2, 2, 2, 2)  # the one unperturbed forward
-    want = {layer: setup[j] + sum(k * reruns[point][j] for point, k in forwards.items())
+    want = {layer: setup[j] + sum(2 * coords[point] * variant[point][j]
+                                  + 2 * arrays[point] * stacked[point][j] for point in coords)
             for j, layer in enumerate(("stem", "conv1", "conv2", "skip", "interlace"))}
-    assert want == {"stem": 41, "conv1": 472, "conv2": 716, "skip": 288, "interlace": 282}
+    assert want == {"stem": 41, "conv1": 248, "conv2": 492, "skip": 64, "interlace": 58}
     assert calls == want
-    # per parameter group, its coordinates times the convs its loss reruns:
-    # the stem, block 0's conv1, its conv2 and skip, and the same of block 1;
-    # and block 0's and block 1's six offset-net arrays, two forwards each
+    # per parameter group, its coordinates times the convs of its variant:
+    # the stem's, block 0's conv1 (conv1 and conv2), conv2 and skip, and the
+    # same of block 1; then per array, two stacked forwards of the later
+    # convs: 6 after the stem's two arrays, 5 after block 0's six offset-net
+    # arrays, 3 after its six conv arrays and 2 after block 1's offset net
     convs = sum(calls.values()) - calls["interlace"]
-    assert convs == 7 + 2 * (20 * 7 + 38 * 5 + 44 * 4 + 57 * 2 + 93 * 1) + 12 * 5 + 12 * 2
+    assert convs == 7 + 2 * (20 * 1 + 38 * 2 + 38 + 6 + 57 * 2 + 84 + 9) + 2 * (
+        2 * 6 + 6 * 5 + 6 * 3 + 6 * 2)
 
 
 # ---------------------------------------------------------------------------
-# batched finite differences: the offset net's weights and feature map
+# batched finite differences: every parameter of the micro-model, the
+# offset net's weights and feature map, and the interlacing's input
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _whole_forward_fd(seed):
+    """The bytes of fd_gradient of every parameter of the tin micro-model,
+    one whole forward per evaluation."""
+    cfg, ref, clip, targets, lcfg = gc._micro_model("tin", seed, channels=(2, 3))
+    return {name: gc.fd_gradient(lambda _v: gc._model_loss(ref, cfg, clip, targets, lcfg),
+                                 ref[name]).tobytes() for name in ref.names()}
+
 
 @pytest.mark.parametrize("seed", [7, 3])
 def test_batched_offset_net_fd_keeps_the_bits_of_fd_gradient(seed):
@@ -491,24 +511,52 @@ def test_batched_offset_net_fd_keeps_the_bits_of_fd_gradient(seed):
         job = fd_job(name)
         assert layer == "offsets" and len(job) == 3 and job[1] is params[name]
         got = gc.fd_gradient(*job).tobytes()
-        resumed = gc.fd_gradient(
-            lambda _v: gc._model_loss(ref, cfg, kept[stage], targets, lcfg, stage, layer, kept),
-            ref[name])
-        whole = gc.fd_gradient(lambda _v: gc._model_loss(ref, cfg, clip, targets, lcfg),
-                               ref[name])
-        assert got == resumed.tobytes() == whole.tobytes(), name
+        resumed = gc.fd_gradient(lambda _v: gc.losses.bce_scaled_loss(
+            gc.forward_from_stage(stage, kept[stage], ref, cfg, kept=kept, layer=layer),
+            targets, lcfg), ref[name])
+        assert got == resumed.tobytes() == _whole_forward_fd(seed)[name], name
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["fork", "serial"])
+@pytest.mark.parametrize("seed", [7, 3, 11])
+def test_batched_conv_and_head_fd_keeps_the_bits_of_fd_gradient(seed, lane, monkeypatch):
+    params, _, fd_job = gc._model_grads("tin", seed, channels=(2, 3))
+    names = [n for n in params.names() if ".tin." not in n]
+    assert len(names) == 16  # the 14 stem, conv1, conv2 and skip arrays, and the head's 2
+    jobs = [fd_job(n) for n in names]
+    assert all(len(job) == 3 and job[1] is params[n] for n, job in zip(names, jobs))
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: lane)
+    got = {n: g.tobytes() for n, g in zip(names, gc.fd_gradients(jobs))}
+    assert got == {n: _whole_forward_fd(seed)[n] for n in names}
 
 
 @pytest.mark.parametrize("seed", [0, 1855, 4242])
 def test_batched_feature_fd_of_the_offset_net_keeps_the_bits_of_fd_gradient(seed, monkeypatch):
     jobs = []
-    real = gc.fd_gradients
-    monkeypatch.setattr(gc, "fd_gradients", lambda js: jobs.extend(js) or real(js))
+    real = gc.fd_gradient
+    monkeypatch.setattr(gc, "fd_gradient", lambda *job: jobs.append(job) or real(*job))
     gc.check_offset_net(seed)
-    (variant, feat, losses_of), = [job for job in jobs if len(job) == 3]
-    assert feat.shape == (2, 4, 3, 3, 3)
-    want = gc.fd_gradient(lambda v: losses_of([variant(v)])[0], feat)
-    assert gc.fd_gradient(variant, feat, losses_of).tobytes() == want.tobytes()
+    (variant, feat, losses_of), *weights = jobs
+    assert feat.shape == (2, 4, 3, 3, 3) and len(weights) == 6
+    want = real(lambda v: losses_of([variant(v)])[0], feat)
+    assert real(variant, feat, losses_of).tobytes() == want.tobytes()
+    # each weight array's MLP, resumed where the array is read, against the
+    # whole net run on the feature map per evaluation
+    for job in weights:
+        want = real(lambda _v: losses_of([feat.copy()])[0], job[1])
+        assert real(*job).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 1855, 4242])
+def test_batched_input_fd_of_the_interlacing_keeps_the_bits_of_fd_gradient(seed, monkeypatch):
+    jobs = []
+    real = gc.fd_gradient
+    monkeypatch.setattr(gc, "fd_gradient", lambda *job: jobs.append(job) or real(*job))
+    gc.check_interlace(seed)
+    (variant, x, losses_of), offsets, weights = jobs
+    assert x.ndim == 5 and offsets[1].ndim == 2 and weights[1].ndim == 3
+    want = real(lambda v: losses_of([variant(v)])[0], x)
+    assert real(variant, x, losses_of).tobytes() == want.tobytes()
 
 
 def _flipped_offsets(real):
@@ -538,11 +586,30 @@ def test_a_bug_on_the_offset_path_fails_the_batched_check(plant, monkeypatch):
     monkeypatch.setattr(ops, "_lane_cpus", lambda: False)  # every job runs here, counted
     monkeypatch.setattr(gc, "fd_gradient", counted)
     assert gc.check_model_all_params("tin") > gc.RTOL
-    assert sorted(batched) == sorted([64, 16, 32, 2, 128, 8] * 2)
-    # the batched arrays alone catch it
     params, _, fd_job = gc._model_grads("tin", 7, channels=(2, 3))
+    assert sorted(batched) == sorted(params[n].size for n in params.names())
+    # the offset net's arrays alone catch it
     tin = [n for n in params.names() if ".tin." in n]
     assert gc._fd_errors([(params.grads[n], fd_job(n)) for n in tin]) > gc.RTOL
+
+
+@pytest.mark.parametrize("layer", ["stem", "block0.conv1", "block1.conv2", "block0.skip"])
+def test_a_conv_backward_bug_fails_the_batched_check(layer, monkeypatch):
+    real = model._conv_backward
+
+    def scaled(gy5, cache, params, name, *args, **kwargs):
+        out = real(gy5, cache, params, name, *args, **kwargs)
+        if name == layer:
+            params.grads[name + ".weight"] *= 1.001
+        return out
+
+    monkeypatch.setattr(model, "_conv_backward", scaled)
+    assert gc.check_model_all_params("tin") > gc.RTOL
+    # the layer's own arrays catch it, and no other array does
+    params, _, fd_job = gc._model_grads("tin", 7, channels=(2, 3))
+    for names, fails in (([n for n in params.names() if n.startswith(layer + ".")], True),
+                         ([n for n in params.names() if not n.startswith(layer + ".")], False)):
+        assert (gc._fd_errors([(params.grads[n], fd_job(n)) for n in names]) > gc.RTOL) == fails
 
 
 # max_error of every check as float.hex(), from run_op_suite(2, base) +
@@ -594,3 +661,13 @@ def test_every_reported_error_keeps_its_bits(base, lane, monkeypatch):
     monkeypatch.setattr(ops, "_lane_cpus", lambda: lane)
     results = gc.run_op_suite(2, base) + gc.run_model_suite(2, base)
     assert {r.name: r.max_error.hex() for r in results} == PINNED_ERRORS[base]
+
+
+def test_the_pinned_errors_tool_prints_the_pinned_table():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "pinned_errors.py"),
+                          str(root / "src")], capture_output=True, text=True, timeout=120,
+                         check=True)
+    table = {}
+    exec(out.stdout, table)
+    assert table["PINNED_ERRORS"] == PINNED_ERRORS

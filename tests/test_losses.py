@@ -7,10 +7,12 @@ from temporalkit.config import ConfigError, RunConfig
 from temporalkit.losses import (
     LossConfig,
     bce_scaled,
+    bce_scaled_loss,
     class_weights,
     lsep,
     warp,
 )
+from temporalkit.ops import sigmoid
 from temporalkit.train import make_loss_fn
 
 
@@ -57,6 +59,19 @@ class TestBceScaled:
         loss, grad = bce_scaled(z, y, LossConfig(scale=1.0, class_weights=w))
         np.testing.assert_allclose(loss, (2.0 + 1.0) * math.log(2.0) / 2.0, rtol=1e-12)
         np.testing.assert_allclose(grad, [[-0.5, -0.25]], rtol=1e-12)
+
+    def test_the_loss_alone_keeps_the_bits_of_the_pair(self):
+        rng = np.random.default_rng(3)
+        z = rng.normal(scale=3.0, size=(4, 5))
+        y = (rng.random((4, 5)) < 0.5).astype(float)
+        w = rng.uniform(0.5, 2.0, 5)
+        cfg = LossConfig(scale=160.0, class_weights=w)
+        loss, grad = bce_scaled(z, y, cfg)
+        per_entry = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        assert bce_scaled_loss(z, y, cfg) == loss == 160.0 * float((w[None, :] * per_entry).mean())
+        assert grad.tobytes() == (160.0 * w[None, :] * (sigmoid(z) - y) / z.size).tobytes()
+        with pytest.raises(ValueError, match="0 or 1"):
+            bce_scaled_loss(z, np.full(z.shape, 0.5), cfg)
 
 
 class TestLsep:
