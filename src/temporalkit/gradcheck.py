@@ -20,8 +20,9 @@ so it ignores the array it is passed and may read it through any alias
   input x a batched job instead, and check_offset_net gives one to each
   of its arrays (below); both call fd_gradient on those jobs directly.
 - _fd_errors(pairs) is the whole-network comparison: every parameter of
-  the micro-model, as (analytic, job) pairs, each job's FD gradient from
-  fd_gradients. _model_grads is the micro-model's one
+  the micro-model, as (analytic, job) pairs (_all_params_pairs), each
+  job's FD gradient from fd_gradients; run_model_suite computes the same
+  jobs in its own map. _model_grads is the micro-model's one
   forward/loss/backward set-up.
 
 A job is fd_gradient's arguments: (f, x) evaluates the scalar f twice per
@@ -75,21 +76,38 @@ own, since the net's weights are read by every sample; its feature map
 is batched like a stage parameter, since a feature perturbation stays in
 its sample. check_interlace batches x for the same reason.
 
-fd_gradients computes the jobs. When the process may use more than one
-CPU (ops' lane rule) and os.fork exists, it splits them into two halves
-of about equal coordinate count, largest arrays first, and a forked child
-computes one half while this process computes the other. Each value is
-the same evaluation of the same f on a copy-on-write copy of the same
-arrays, so the results keep the bits of the serial loop. If the child
-fails, this process computes its half itself. With one CPU or no fork, it
-is the serial loop. The per-op checks, check_offset_net among them, call
-fd_gradient directly: at 0.1-20 ms a case, a fork would not pay.
+_fork_map(tasks) runs the suites' work on both CPUs. run_op_suite makes
+every check and case one task, the costliest checks first, and
+run_model_suite one list: the whole-model check's FD jobs (its set-up
+runs before the map), then the directional probes. The probes of one
+suite call share each distinct micro-model set-up, built once in each
+process that claims one of its probes, and each probe perturbs a copy of
+its parameters. fd_gradients, and so check_model_all_params, makes each
+job one task. When the process may use more than one CPU (ops' lane
+rule), os.fork exists and the process is not itself inside a map, a
+forked child and this process take task indices from one claim queue: a
+pipe filled before the fork with 4-byte indices, which each process
+reads 4 bytes at a time (a pipe read of up to PIPE_BUF bytes is atomic)
+until it is empty. A list of more than PIPE_BUF / 4 tasks puts several
+consecutive tasks in each claim, so the one write that fills the queue
+cannot block. The queue balances the load as it runs, and claiming the
+costliest tasks first keeps either process from being left with a slow
+one while the other waits. The child pickles back its (index, result)
+pairs, and this process computes every task the child took but did not
+report, so a task that raises only in the child is computed here. Each
+result is the same evaluation of the same task on a copy-on-write copy
+of the same arrays, so it keeps the bits of the serial loop. With one
+CPU or no fork, the map is the serial loop; a task's own maps always
+are. The per-op checks call fd_gradient directly. A profiler or tracer
+in this process sees only the tasks it claimed, and which those are
+varies from run to run.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -97,6 +115,7 @@ from . import losses, ops
 from .model import (
     BLOCK_LAYERS,
     ModelConfig,
+    ParamStore,
     _block_forward,
     _conv,
     _mlp_head,
@@ -193,75 +212,95 @@ def fd_gradient(f, x, losses_of=list) -> np.ndarray:
     return ((fp - fm) / (2.0 * H)).reshape(x.shape)
 
 
-def _halves(sizes) -> tuple[list[int], list[int]]:
-    """Job indices split into two halves of about equal total size, the
-    largest assigned first. The first half is the parent's."""
-    halves, loads = ([], []), [0, 0]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        side = 0 if loads[0] <= loads[1] else 1
-        halves[side].append(i)
-        loads[side] += sizes[i]
-    return halves
+_in_map = False  # True in a process taking tasks from a _fork_map queue
 
 
-def fd_gradients(jobs) -> list[np.ndarray]:
-    """fd_gradient(*job) of each job, bit for bit as the serial loop gives
-    it. When this process may use more than one CPU, a forked child
-    computes the jobs of about half the coordinates (see the module
-    docstring).
+def _claims(queue, per, n):
+    """The indices of the tasks this process claims from the queue, one
+    4-byte claim of `per` consecutive tasks at a time, until it is empty."""
+    while claim := os.read(queue, 4):
+        start = int.from_bytes(claim, "little")
+        yield from range(start, min(start + per, n))
 
-    The child sends its gradients back through a pipe as float64 bytes. If it
-    fails or its bytes are short, this process computes its jobs too, so an
-    exception in a loss surfaces here with its usual traceback. If this
-    process's own half raises, the child is killed and reaped first.
+
+def _fork_map(tasks) -> list:
+    """[task() for task in tasks], each result with the bits the serial
+    loop gives it. When this process may use more than one CPU (ops' lane
+    rule), os.fork exists and this process is not itself inside a map, a
+    forked child and this process each take the next task from one shared
+    queue, until it is empty (see the module docstring).
+
+    The child pickles its (index, result) pairs back through a pipe, those
+    computed before a task raised too, and this process computes every
+    task the child took but did not report. So a task that raises only in
+    the child is computed here, and one that raises here surfaces with its
+    usual traceback, after the child is killed and reaped. A task's own
+    maps run serially.
     """
-    jobs = [(f, _float64(x), *rest) for f, x, *rest in jobs]
-    mine, theirs = _halves([job[1].size for job in jobs])
-    if not theirs or not hasattr(os, "fork") or not ops._lane_cpus():
-        return [fd_gradient(*job) for job in jobs]
-    read_end, write_end = os.pipe()
+    global _in_map
+    tasks = list(tasks)
+    if len(tasks) < 2 or _in_map or not hasattr(os, "fork") or not ops._lane_cpus():
+        return [task() for task in tasks]
+    # imported here, so that importing this module (the set-up time of a
+    # gradcheck run) loads nothing beyond numpy and the package
+    import pickle
+    import signal
+
+    n = len(tasks)
+    queue, fill = os.pipe()
+    # all the 4-byte claims go in one write of at most PIPE_BUF bytes, which
+    # cannot block, and a read of 4 bytes takes one whole claim
+    per = -(-4 * n // os.fpathconf(queue, "PC_PIPE_BUF"))
+    os.write(fill, b"".join(i.to_bytes(4, "little") for i in range(0, n, per)))
+    os.close(fill)
+    back, report = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: the serial loop
-        os.close(read_end)
-        os.close(write_end)
-        return [fd_gradient(*job) for job in jobs]
+        for fd in (queue, back, report):
+            os.close(fd)
+        return [task() for task in tasks]
+    _in_map = True
     if pid == 0:
-        status = 1
+        pairs = []
         try:
-            os.close(read_end)
-            data = b"".join(fd_gradient(*jobs[i]).tobytes() for i in theirs)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(data)
-            status = 0
+            os.close(back)
+            for i in _claims(queue, per, n):
+                pairs.append((i, tasks[i]()))
         finally:
-            os._exit(status)
-    os.close(write_end)
-    out = [None] * len(jobs)
+            try:
+                with os.fdopen(report, "wb") as pipe:
+                    pickle.dump(pairs, pipe)
+            finally:
+                os._exit(0)
+    os.close(report)
+    out = {}
     try:
-        for i in mine:
-            out[i] = fd_gradient(*jobs[i])
-    except BaseException:
-        # imported here, so that importing this module (the set-up time of a
-        # gradcheck run) loads nothing beyond numpy and the package
-        import signal
+        try:
+            with os.fdopen(back, "rb") as pipe:
+                for i in _claims(queue, per, n):
+                    out[i] = tasks[i]()
+                try:
+                    reported = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child died mid-report
+                    reported = []
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+            os.close(queue)
+        out.update(reported)
+        return [out[i] if i in out else tasks[i]() for i in range(n)]
+    finally:
+        _in_map = False
 
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        os.close(read_end)
-        raise
-    with os.fdopen(read_end, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    sizes = [jobs[i][1].size for i in theirs]
-    if status != 0 or len(data) != 8 * sum(sizes):
-        for i in theirs:
-            out[i] = fd_gradient(*jobs[i])
-        return out
-    flat = np.frombuffer(bytearray(data), dtype=np.float64)
-    for i, part in zip(theirs, np.split(flat, np.cumsum(sizes)[:-1])):
-        out[i] = part.reshape(jobs[i][1].shape)
-    return out
+
+def fd_gradients(jobs) -> list[np.ndarray]:
+    """fd_gradient(*job) of each job, one _fork_map task per job, bit for
+    bit as the serial loop gives it."""
+    jobs = [(f, _float64(x), *rest) for f, x, *rest in jobs]
+    return _fork_map([partial(fd_gradient, *job) for job in jobs])
 
 
 def _vjp_error(f, args, grads, r=None) -> float:
@@ -508,8 +547,9 @@ def _model_loss(params, cfg, clip, targets, lcfg) -> float:
 
 
 def _model_grads(mode: str, seed: int, channels=(4, 6)):
-    """A micro-model with its loss's analytic gradients in params.grads; that
-    loss, the whole forward reading params in place; and fd_job(name), the
+    """A micro-model with its loss's analytic gradients in params.grads;
+    loss_of(p), that loss as the whole forward on parameters p; and
+    fd_job(name), the
     batched FD job of parameter `name`, whose forwards resume from what the
     set-up forward kept (see the module docstring)."""
     cfg, params, clip, targets, lcfg = _micro_model(mode, seed, channels)
@@ -549,12 +589,17 @@ def _model_grads(mode: str, seed: int, channels=(4, 6)):
         return variant, params[name], lambda outs: scores(
             forward_from_stage(stage + 1, np.concatenate(outs), params, cfg))
 
-    return params, lambda: _model_loss(params, cfg, clip, targets, lcfg), fd_job
+    return params, lambda p: _model_loss(p, cfg, clip, targets, lcfg), fd_job
 
 
-def check_model_directional(seed: int, mode: str = "tin") -> float:
-    """One random-direction FD probe through the whole micro-model."""
-    params, loss, _ = _model_grads(mode, seed % 5)
+def check_model_directional(seed: int, mode: str = "tin", setup=_model_grads) -> float:
+    """One random-direction FD probe through the whole micro-model, on a
+    copy of the parameters of setup(mode, seed % 5); run_model_suite passes
+    a setup that builds each distinct micro-model once."""
+    params, loss_of, _ = setup(mode, seed % 5)
+    probe = ParamStore()  # the probe leaves its parameters perturbed
+    for name in params.names():
+        probe.add(name, params[name])
     rng = np.random.default_rng(seed + 1000)
     direction = {n: rng.normal(size=v.shape) for n, v in params.values.items()}
     norm = np.sqrt(sum(float((d * d).sum()) for d in direction.values()))
@@ -563,20 +608,24 @@ def check_model_directional(seed: int, mode: str = "tin") -> float:
     analytic = sum(float((params.grads[n] * direction[n]).sum()) for n in params.names())
 
     def shifted(eps):
-        for n in params.names():
-            params.values[n] += eps * direction[n]
-        return loss()
+        for n in probe.names():
+            probe.values[n] += eps * direction[n]
+        return loss_of(probe)
 
     fp, fm = shifted(H), shifted(-2 * H)
     return scaled_error(np.array([analytic]), np.array([(fp - fm) / (2 * H)]))
 
 
-def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
-    """Exhaustive per-parameter FD over a smaller micro-model. Each
-    parameter is a batched job, resumed at the stage and layer that read
-    it."""
+def _all_params_pairs(mode: str, seed: int = 7) -> list:
+    """The (analytic, job) pair of every parameter of a smaller micro-model,
+    each job batched and resumed at the stage and layer that read it."""
     params, _, fd_job = _model_grads(mode, seed, channels=(2, 3))
-    return _fd_errors([(params.grads[n], fd_job(n)) for n in params.names()])
+    return [(params.grads[n], fd_job(n)) for n in params.names()]
+
+
+def check_model_all_params(mode: str = "tin", seed: int = 7) -> float:
+    """Exhaustive per-parameter FD over a smaller micro-model."""
+    return _fd_errors(_all_params_pairs(mode, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -598,23 +647,38 @@ OP_CHECKS = {
     "offset_net": check_offset_net,
 }
 
+# claimed first by run_op_suite, at 7-16 ms a case against 0.2-5 ms for
+# the others on 2 vCPUs: one of them claimed last would leave the other
+# process waiting
+_COSTLIEST_CHECKS = ("interlace", "lsep", "warp", "offset_net")
+
 
 def run_op_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
+    """Every op check on `cases` seeds, one _fork_map task per check and
+    case, the costliest checks claimed first."""
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    results = []
-    for name, fn in OP_CHECKS.items():
-        err = _worst(fn(base_seed + i) for i in range(cases))
-        results.append(CheckResult(name, err, cases))
-    return results
+    order = sorted(OP_CHECKS, key=lambda name: name not in _COSTLIEST_CHECKS)
+    errors = _fork_map([partial(OP_CHECKS[name], base_seed + i)
+                        for name in order for i in range(cases)])
+    worst = {name: _worst(errors[k * cases:(k + 1) * cases]) for k, name in enumerate(order)}
+    return [CheckResult(name, worst[name], cases) for name in OP_CHECKS]
 
 
 def run_model_suite(cases: int = 100, base_seed: int = 0) -> list[CheckResult]:
+    """The directional probes of each temporal mode on `cases` seeds, and
+    check_model_all_params("tin"), as one list of _fork_map tasks: the
+    whole-model check's FD jobs first, then the probes."""
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
-    results = []
-    for mode in ("none", "tsm", "tin"):
-        err = _worst(check_model_directional(base_seed + i, mode) for i in range(cases))
-        results.append(CheckResult(f"model[{mode}]", err, cases))
-    results.append(CheckResult("model[tin] full", check_model_all_params("tin"), 1))
-    return results
+    modes = ("none", "tsm", "tin")
+    pairs = _all_params_pairs("tin")
+    setup = cache(_model_grads)  # one set-up per distinct micro-model and process
+    out = _fork_map([partial(fd_gradient, *job) for _, job in pairs] + [
+        partial(check_model_directional, base_seed + i, mode, setup)
+        for mode in modes for i in range(cases)])
+    nums, probes = out[:len(pairs)], out[len(pairs):]
+    results = [CheckResult(f"model[{mode}]", _worst(probes[k * cases:(k + 1) * cases]), cases)
+               for k, mode in enumerate(modes)]
+    full = _worst(scaled_error(a, n) for (a, _), n in zip(pairs, nums))
+    return results + [CheckResult("model[tin] full", full, 1)]

@@ -7,6 +7,7 @@ total on two laptop-class cores); everything else is seconds. Run with
 """
 
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,25 +75,25 @@ def _final_val_map(out_dir) -> float:
     return float(last.split("\t")[3])
 
 
+def _timed_training(cfg):
+    """One run's final val mAP, checkpoint path and seconds, timed where it runs."""
+    start = time.perf_counter()
+    ckpt = run_training(cfg)
+    return _final_val_map(cfg.out_dir), ckpt, time.perf_counter() - start
+
+
 @pytest.fixture(scope="module")
 def sep_runs(sep_data, tmp_path_factory):
-    """Seven full 2000-iteration runs: tin/tsm across three seeds, one none."""
+    """Seven full 2000-iteration runs: tin/tsm across three seeds, one none.
+    With two CPUs and os.fork, this process and a forked child take them
+    from one claim queue (gc._fork_map), the slower tin runs first."""
     out_root = tmp_path_factory.mktemp("runs")
-    results = {}
-    for mode, seeds in (("tin", (0, 1, 2)), ("tsm", (0, 1, 2)), ("none", (0,))):
-        for seed in seeds:
-            out_dir = out_root / f"{mode}_{seed}"
-            cfg = _run_config(sep_data, out_dir, mode, seed)
-            start = time.perf_counter()
-            ckpt = run_training(cfg)
-            elapsed = time.perf_counter() - start
-            results[(mode, seed)] = {
-                "map": _final_val_map(out_dir),
-                "ckpt": ckpt,
-                "cfg": cfg,
-                "seconds": elapsed,
-            }
-    return results
+    cfgs = {(mode, seed): _run_config(sep_data, out_root / f"{mode}_{seed}", mode, seed)
+            for mode, seeds in (("tin", (0, 1, 2)), ("tsm", (0, 1, 2)), ("none", (0,)))
+            for seed in seeds}
+    runs = gc._fork_map([partial(_timed_training, cfg) for cfg in cfgs.values()])
+    return {key: {"map": value, "ckpt": ckpt, "cfg": cfgs[key], "seconds": seconds}
+            for key, (value, ckpt, seconds) in zip(cfgs, runs)}
 
 
 # ---------------------------------------------------------------------------

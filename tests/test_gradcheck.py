@@ -1,8 +1,14 @@
+import copy
 import functools
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +144,40 @@ def test_fd_gradients_equal_the_serial_loop(count, forks):
     assert len(forks) == (count > 1)
 
 
-def test_child_failure_is_recomputed_by_the_parent(forks):
+def _placed(fns, key, where, tmp_path):
+    """fns, wrapped so that fns[key] (key >= 2) runs in `where`, "parent" or
+    "child", of a _fork_map over them (or over fd_gradient jobs with them as
+    losses). The other process waits in its first call until fns[key] has
+    started, and `where` in each of its calls until the other has made
+    one, so the other claims index 0 or 1 before then. Returns the
+    wrapped fns and the flag file fns[key] writes in `where`."""
+    flags = Path(tempfile.mkdtemp(dir=tmp_path))
+    other_went, key_went = flags / "other", flags / "key"
+    parent = os.getpid()
+
+    def wait_for(flag):
+        deadline = time.monotonic() + 30
+        while not flag.exists():
+            assert time.monotonic() < deadline, f"{flag.name} never written"
+            time.sleep(0.001)
+
+    def wrap(i, fn):
+        def placed(*args):
+            if ("parent" if os.getpid() == parent else "child") != where:
+                other_went.touch()
+                wait_for(key_went)
+            elif i == key:
+                key_went.touch()
+            else:
+                wait_for(other_went)
+            return fn(*args)
+        return placed
+
+    assert key >= 2
+    return [wrap(i, fn) for i, fn in enumerate(fns)], key_went
+
+
+def test_child_failure_is_recomputed_by_the_parent(forks, tmp_path):
     jobs = _jobs(7)
     want = _bytes(gc.fd_gradient(f, x) for f, x in jobs)
     parent = os.getpid()
@@ -150,21 +189,25 @@ def test_child_failure_is_recomputed_by_the_parent(forks):
             return f(v)
         return g
 
-    assert _bytes(gc.fd_gradients([(only_here(f), x) for f, x in jobs])) == want
-    assert len(forks) == 1
+    # the child reports the jobs it took before job 3, and the parent computes 3
+    fns, key_went = _placed([only_here(f) if i == 3 else f for i, (f, _) in enumerate(jobs)], 3,
+                            "child", tmp_path)
+    assert _bytes(gc.fd_gradients([(f, x) for f, (_, x) in zip(fns, jobs)])) == want
+    assert key_went.exists() and len(forks) == 1
 
 
-def test_fd_gradients_raises_what_f_raises(forks):
+def test_fd_gradients_raises_what_f_raises(forks, tmp_path):
     jobs = _jobs(7)
-    mine, theirs = gc._halves([x.size for _, x in jobs])
 
     def fails(v):
         raise ValueError("bad f")
 
-    for half in (mine, theirs):  # raised in the parent's own half, or again for the child's
-        bad = [(fails, x) if i in half else (f, x) for i, (f, x) in enumerate(jobs)]
+    for where in ("parent", "child"):  # raised in the parent's own claim, or again for the child's
+        fns, key_went = _placed([fails if i == 4 else f for i, (f, _) in enumerate(jobs)], 4,
+                                where, tmp_path)
         with pytest.raises(ValueError, match="bad f"):
-            gc.fd_gradients(bad)
+            gc.fd_gradients([(f, x) for f, (_, x) in zip(fns, jobs)])
+        assert key_went.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert len(forks) == 2
@@ -179,25 +222,112 @@ def test_one_cpu_never_forks(monkeypatch):
     jobs = _jobs(7)
     want = _bytes(gc.fd_gradient(f, x) for f, x in jobs)
     assert _bytes(gc.fd_gradients(jobs)) == want
+    assert gc._fork_map([os.getpid] * 3) == [os.getpid()] * 3
+    results = gc.run_op_suite(2, 4242) + gc.run_model_suite(2, 4242)
+    assert {r.name: r.max_error.hex() for r in results} == PINNED_ERRORS[4242]
 
 
-def test_sign_error_on_the_childs_half_is_caught(forks, monkeypatch):
+def test_sign_error_on_the_childs_half_is_caught(forks, monkeypatch, tmp_path):
     _, params, *_ = gc._micro_model("tin", 7, channels=(2, 3))
-    names = params.names()
-    _, theirs = gc._halves([params.values[n].size for n in names])
     name = "block0.tin.offs.weight"
-    assert names.index(name) in theirs
-    real = gc.backbone_backward
+    real_pairs, real_backward = gc._all_params_pairs, gc.backbone_backward
+    placed = []
+
+    def pairs_in_the_child(mode, seed=7):  # the job of `name` runs in the child
+        pairs = real_pairs(mode, seed)
+        fns, key_went = _placed([job[0] for _, job in pairs], params.names().index(name),
+                                "child", tmp_path)
+        placed.append(key_went)
+        return [(a, (f, *job[1:])) for (a, job), f in zip(pairs, fns)]
 
     def flipped(g_logits, cache, params, cfg, **kwargs):
-        out = real(g_logits, cache, params, cfg, **kwargs)
+        out = real_backward(g_logits, cache, params, cfg, **kwargs)
         params.grads[name] *= -1.0
         return out
 
+    monkeypatch.setattr(gc, "_all_params_pairs", pairs_in_the_child)
     assert gc.check_model_all_params("tin") < gc.RTOL
     monkeypatch.setattr(gc, "backbone_backward", flipped)
     assert gc.check_model_all_params("tin") > gc.RTOL
+    assert len(forks) == 2 and all(flag.exists() for flag in placed)
+
+
+def test_fork_map_results_equal_the_serial_loop(forks, tmp_path):
+    rng = np.random.default_rng(5)
+    values = [rng.normal(size=(3, 4)), np.array([np.nan, -0.0, 5e-324, np.inf]), float("nan"),
+              -0.0, 0.1 + 0.2, (2.5, Path("ckpt.xtck")), 7, None, "text"]
+    tasks = [partial(copy.deepcopy, v) for v in values]
+    want = [pickle.dumps(task()) for task in tasks]
+    fns, key_went = _placed(tasks, 4, "child", tmp_path)
+    assert [pickle.dumps(r) for r in gc._fork_map(fns)] == want
+    assert key_went.exists() and len(forks) == 1
+
+
+def test_fork_map_computes_what_the_child_took_but_did_not_report(forks, tmp_path):
+    parent = os.getpid()
+
+    def pid_of(i):
+        if i == 2 and os.getpid() != parent:
+            raise RuntimeError("child failed")
+        return i, os.getpid()
+
+    fns, key_went = _placed([partial(pid_of, i) for i in range(6)], 2, "child", tmp_path)
+    results = gc._fork_map(fns)
+    assert [i for i, _ in results] == list(range(6)) and key_went.exists()
+    # the child computed one of the first two tasks and reported it; task 2
+    # failed there and was computed here
+    assert results[2][1] == parent and len({pid for _, pid in results[:2]}) == 2
+
+
+def test_a_process_inside_a_map_never_forks_again(forks, tmp_path):
+    def outer():
+        return os.getpid(), gc._fork_map([os.getpid] * 4)
+
+    fns, key_went = _placed([outer] * 5, 2, "child", tmp_path)
+    results = gc._fork_map(fns)
+    assert len({pid for pid, _ in results}) == 2 and key_went.exists()
+    assert all(inner == [pid] * 4 for pid, inner in results)
+    assert len(forks) == 1
+    gc._fork_map([os.getpid] * 4)  # after the map, this process forks again
     assert len(forks) == 2
+
+
+def test_a_claim_queue_longer_than_a_pipe_buffer_does_not_block(forks):
+    def blocked(*_):
+        raise TimeoutError("the map blocked")
+
+    count = 20000  # 80000 bytes of 4-byte indices, more than a 64 KiB pipe holds
+    old = signal.signal(signal.SIGALRM, blocked)
+    signal.alarm(60)
+    try:
+        assert gc._fork_map([partial(int, i) for i in range(count)]) == list(range(count))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["fork", "serial"])
+def test_each_directional_set_up_is_built_once_per_suite_call(lane, monkeypatch, tmp_path):
+    log, real = tmp_path / "set-ups", gc._model_grads
+
+    def logged(mode, seed, channels=(4, 6)):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {mode} {seed} {channels}\n")
+        return real(mode, seed, channels)
+
+    monkeypatch.setattr(ops, "_lane_cpus", lambda: lane)
+    monkeypatch.setattr(gc, "_model_grads", logged)
+    results = gc.run_model_suite(100)
+    # a shared set-up gives each probe the bits of a set-up of its own
+    assert [r.max_error.hex() for r in results[:3]] == [
+        gc._worst(gc.check_model_directional(i, mode, real) for i in range(100)).hex()
+        for mode in ("none", "tsm", "tin")]
+    probes = [line.split()[:3] for line in log.read_text().splitlines() if "(4, 6)" in line]
+    per_process = Counter(pid for pid, _, _ in probes)
+    assert len(probes) == len({tuple(p) for p in probes})  # none built twice in one process
+    assert len({(mode, seed) for _, mode, seed in probes}) == 15
+    assert max(per_process.values()) <= 15 and len(per_process) == (2 if lane else 1)
 
 
 def test_gradcheck_import_starts_no_process_machinery():
@@ -252,9 +382,10 @@ def test_nan_in_a_later_case_fails_the_suite_and_the_command(monkeypatch, capsys
     assert main(["gradcheck", "--scope", "ops", "--cases", "3"]) == 3
     assert "FAIL interlace" in capsys.readouterr().out
 
-    monkeypatch.setattr(gc, "check_model_directional", lambda seed, mode: float("nan")
+    monkeypatch.setattr(gc, "check_model_directional", lambda seed, mode, *_: float("nan")
                         if (seed, mode) == (1, "tsm") else 1e-9)
-    monkeypatch.setattr(gc, "check_model_all_params", lambda mode: 1e-9)
+    monkeypatch.setattr(gc, "_all_params_pairs", lambda mode: [(np.zeros(1), (lambda _v: 0.0,
+                                                                               np.zeros(1)))])
     results = {r.name: r for r in gc.run_model_suite(cases=3)}
     assert [r.ok for r in results.values()] == [True, False, True, True]
     assert main(["gradcheck", "--scope", "model", "--cases", "3"]) == 3
